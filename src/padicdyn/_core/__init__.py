@@ -1,63 +1,13 @@
-"""Backend selection for the coefficient kernels.
+"""The coefficient kernel: exact arithmetic on (valuation, unit, precision) triples.
 
-The compiled Cython kernel is preferred when it imports; otherwise the pure
-Python reference is used.  ``PADICDYN_BACKEND=pure|compiled`` forces a choice
-(``compiled`` raises if the extension is missing, so CI can assert it built).
+The functions live in :mod:`padicdyn._core.arith` and are re-exported here.
+Callers look them up as ``_core.<name>`` at call time, so a wrapper installed
+on this module (``checkbench/tracing.py``) sees every call from outside the
+kernel and none of the kernel's own inner calls.
 """
 
-import os
+from .arith import INF_BOUND, conv_at, series_mul, tr_add, tr_div, tr_mul, tr_neg
 
-from . import fallback
+BACKEND = "pure"
 
-_requested = os.environ.get("PADICDYN_BACKEND", "").strip().lower()
-
-if _requested == "pure":
-    _impl = fallback
-    BACKEND = "pure"
-elif _requested == "compiled":
-    from . import kernel as _impl  # ImportError here is intentional
-
-    BACKEND = "compiled"
-else:
-    try:
-        from . import kernel as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = fallback
-        BACKEND = "pure"
-
-if _impl.INF_BOUND != fallback.INF_BOUND:  # pragma: no cover
-    raise RuntimeError("backend INF_BOUND mismatch; rebuild the extension")
-
-INF_BOUND = fallback.INF_BOUND
-
-tr_add = _impl.tr_add
-tr_neg = _impl.tr_neg
-tr_mul = _impl.tr_mul
-tr_div = _impl.tr_div
-series_mul = _impl.series_mul
-conv_at = _impl.conv_at
-
-
-def available_backends():
-    """Names of importable backends ('pure' is always available)."""
-    names = ["pure"]
-    try:
-        from . import kernel  # noqa: F401
-
-        names.append("compiled")
-    except ImportError:
-        pass
-    return names
-
-
-def get_backend(name):
-    """Return the backend module by name ('pure' or 'compiled')."""
-    if name == "pure":
-        return fallback
-    if name == "compiled":
-        from . import kernel
-
-        return kernel
-    raise ValueError(f"unknown backend {name!r}")
+__all__ = ["BACKEND", "INF_BOUND", "conv_at", "series_mul", "tr_add", "tr_div", "tr_mul", "tr_neg"]

@@ -1,9 +1,4 @@
-"""Pure-Python coefficient kernels.
-
-The compiled extension in ``kernel.pyx`` implements the same functions with the
-same bit-for-bit results; this module is the reference implementation that the
-extension is cross-checked against, and the fallback used when the extension is
-unavailable.
+"""Pure-Python coefficient kernels, built on CPython's big-integer arithmetic.
 
 A coefficient is a triple ``(v, u, k)`` over a fixed prime ``p``:
 
@@ -106,8 +101,8 @@ def tr_div(p, v1, u1, k1, v2, u2, k2):
 def series_mul(p, av, au, ak, bv, bu, bk, t_out):
     """Cauchy product of two coefficient arrays, truncated at degree t_out.
 
-    Accumulation runs in ascending index order so results are deterministic
-    across backends.
+    Accumulation runs in ascending index order: precision tracking is not
+    associative, so the order is part of the result.
     """
     n_a = len(av)
     n_b = len(bv)

@@ -358,7 +358,30 @@ def analyze(spec: SystemSpec) -> AnalysisReport:
             inconclusive_details.append(f"generator {j + 1}: {zc.reason}")
 
     notes = [_QP_NOTE, _BOUND_NOTE]
-    common = dict(
+    verdict, bound, complete, detail = "inconclusive", None, None, None
+    if scan_error is not None:
+        detail = str(scan_error)
+    elif all_zero:
+        verdict = "invariant_candidate"
+        notes.append(_CANDIDATE_NOTE)
+    elif not finite_counts:
+        detail = "; ".join(inconclusive_details) or "no certified zero count"
+    else:
+        count = min(finite_counts)
+        late_hits = [n for n in hits if n >= validated.n0]
+        if len(late_hits) > count:
+            detail = (
+                f"{len(late_hits)} precision-level hits at indices >= n0 exceed"
+                f" the certified zero count {count}: raise the working"
+                " precision to separate true hits from precision artifacts"
+            )
+        else:
+            verdict, bound, complete = "finite", count, len(late_hits) >= count
+    return AnalysisReport(
+        verdict=verdict,
+        bound=bound,
+        bound_certified=bound is not None,
+        complete=complete,
         direct_hits=hits,
         n0=validated.n0,
         reindexing=perm,
@@ -368,38 +391,6 @@ def analyze(spec: SystemSpec) -> AnalysisReport:
         count_ball_valuation=m_count,
         degenerate=False,
         generators=gens,
-    )
-
-    if scan_error is not None:
-        return AnalysisReport(
-            verdict="inconclusive", bound=None, bound_certified=False,
-            complete=None, notes=notes, detail=str(scan_error), **common,
-        )
-    if all_zero:
-        return AnalysisReport(
-            verdict="invariant_candidate", bound=None, bound_certified=False,
-            complete=None, notes=notes + [_CANDIDATE_NOTE], **common,
-        )
-    if not finite_counts:
-        detail = "; ".join(inconclusive_details) or "no certified zero count"
-        return AnalysisReport(
-            verdict="inconclusive", bound=None, bound_certified=False,
-            complete=None, notes=notes, detail=detail, **common,
-        )
-    bound = min(finite_counts)
-    late_hits = [n for n in hits if n >= validated.n0]
-    if len(late_hits) > bound:
-        return AnalysisReport(
-            verdict="inconclusive", bound=None, bound_certified=False,
-            complete=None, notes=notes,
-            detail=(
-                f"{len(late_hits)} precision-level hits at indices >= n0 exceed"
-                f" the certified zero count {bound}: raise the working"
-                " precision to separate true hits from precision artifacts"
-            ),
-            **common,
-        )
-    return AnalysisReport(
-        verdict="finite", bound=bound, bound_certified=True,
-        complete=len(late_hits) >= bound, notes=notes, **common,
+        notes=notes,
+        detail=detail,
     )

@@ -7,7 +7,8 @@
 
 Exit codes for ``check``: 0 finite intersection, 1 invariant-subvariety
 candidate, 2 inconclusive, 3 input or validation error.  The other subcommands
-use 0/3.
+use 0/3.  Every subcommand exits 4 on an internal error (a bug, never a
+verdict), after printing ``error: internal: <type>: <message>``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .problemfile import load_problem, render_padic, render_report
 
 _EXIT = {"finite": 0, "invariant_candidate": 1, "inconclusive": 2}
 _ERROR_EXIT = 3
+_INTERNAL_EXIT = 4
 
 
 def _fmt_padic(x, digits: int = 8) -> str:
@@ -161,12 +163,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, PrecisionError) as exc:
+    except (ValidationError, PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _ERROR_EXIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _ERROR_EXIT
+    except Exception as exc:  # a bug must not exit with a verdict code
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _INTERNAL_EXIT
 
 
 if __name__ == "__main__":

@@ -179,14 +179,20 @@ def attracting_radius(P: Polynomial, fp: FixedPointInfo) -> int:
     """
     if fp.classification != ATTRACTING:
         raise ValidationError("attracting_radius needs an attracting fixed point")
-    g = P.shift_argument(fp.point)
-    v1 = fp.multiplier.valuation
+    return contraction_radius(P.shift_argument(fp.point), fp.multiplier.valuation)
+
+
+def contraction_radius(g, v1: int) -> int:
+    """Smallest integer m >= 1 with v(b_i) + (i - 1) m > v1 for every i >= 2.
+
+    ``g`` lists the coefficients b_0, b_1, ... of a conjugate map fixing 0 and
+    ``v1`` is the valuation of its multiplier b_1; exact zeros impose nothing.
+    """
     m = 1
     for i in range(2, len(g)):
-        bi = g[i]
-        lb = bi.valuation_lower_bound
-        # need lb + (i-1)*m > v1
-        need = (v1 - lb) // (i - 1) + 1
+        if g[i].is_exact_zero:
+            continue
+        need = (v1 - g[i].valuation_lower_bound) // (i - 1) + 1
         if need > m:
             m = need
     return m

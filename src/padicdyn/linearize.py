@@ -19,6 +19,7 @@ division after factoring out a1.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
@@ -26,7 +27,7 @@ from . import _core
 from .errors import PrecisionError, ValidationError
 from .padic import Ball, INF_BOUND, PadicNumber
 from .series import TailBound, TruncatedSeries
-from .dynamics import Polynomial
+from .dynamics import Polynomial, contraction_radius
 
 _HEADROOM = 8
 
@@ -185,31 +186,18 @@ def _poly_as_series(P: Polynomial, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coefficients(P.ctx, P.coefficients, order=order)
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class Linearization:
     """Koenigs linearization data at an attracting fixed point."""
 
-    __slots__ = (
-        "base_poly",
-        "fixed_point",
-        "multiplier",
-        "conjugate_poly",
-        "exp_series",
-        "log_series",
-        "convergence_radius_valuation",
-        "isometry_radius_valuation",
-    )
-
-    def __init__(self, base_poly, fixed_point, multiplier, conjugate_poly,
-                 exp_series, log_series, convergence_radius_valuation,
-                 isometry_radius_valuation):
-        self.base_poly = base_poly
-        self.fixed_point = fixed_point
-        self.multiplier = multiplier
-        self.conjugate_poly = conjugate_poly
-        self.exp_series = exp_series
-        self.log_series = log_series
-        self.convergence_radius_valuation = convergence_radius_valuation
-        self.isometry_radius_valuation = isometry_radius_valuation
+    base_poly: Polynomial
+    fixed_point: PadicNumber
+    multiplier: PadicNumber
+    conjugate_poly: Polynomial
+    exp_series: TruncatedSeries
+    log_series: TruncatedSeries
+    convergence_radius_valuation: int
+    isometry_radius_valuation: int
 
     @property
     def isometry_ball(self) -> Ball:
@@ -255,8 +243,6 @@ def isometry_radius(exp_series: TruncatedSeries, G: Polynomial) -> int:
 
     Both maps are then isometries on the ball and G maps it into itself.
     """
-    a1 = G.coefficients[1]
-    v1 = a1.valuation
     m0 = 1
     for n in range(2, exp_series.order + 1):
         c = exp_series.coefficient(n)
@@ -275,15 +261,7 @@ def isometry_radius(exp_series: TruncatedSeries, G: Polynomial) -> int:
             m0 = need
         if m0 + tail.slope <= 0:
             m0 = floor(-tail.slope) + 1
-    for i in range(2, G.degree + 1):
-        bi = G.coefficients[i]
-        if bi.is_exact_zero:
-            continue
-        lb = bi.valuation_lower_bound
-        need = floor(Fraction(v1 - lb, i - 1)) + 1
-        if need > m0:
-            m0 = need
-    return m0
+    return max(m0, contraction_radius(G.coefficients, G.coefficients[1].valuation))
 
 
 def linearize(P: Polynomial, alpha: PadicNumber, order: int) -> Linearization:

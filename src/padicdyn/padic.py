@@ -21,11 +21,21 @@ from .errors import PrecisionError
 
 INF_BOUND = _core.INF_BOUND
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13, the least strong pseudoprime to all of _SMALL_PRIMES (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (witness set valid for n < 3.3e24)."""
+    """Deterministic Miller-Rabin to the 13 prime bases 2..41.
+
+    The answer is proven for n < psi_13 = 3317044064679887385961981 (about
+    3.3e24); larger n raise ValueError rather than risk accepting a composite.
+    """
+    if n >= _PSI_13:
+        raise ValueError(f"{n} is outside the proven primality range n < {_PSI_13}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -36,7 +46,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

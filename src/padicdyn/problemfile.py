@@ -48,6 +48,11 @@ def _parse_rational(ctx: PadicContext, text, where: str) -> PadicNumber:
     return ctx.from_rational(frac.numerator, frac.denominator)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool (true/false are ints in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc: dict, key: str, path: str):
     if key not in doc:
         raise ValidationError(f"{path}: missing required field {key!r}")
@@ -65,7 +70,7 @@ def load_problem(text: str, path: str = "problem",
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be an object")
     prime = _require(doc, "prime", path)
-    if not isinstance(prime, int):
+    if not _is_int(prime):
         raise ValidationError(f"{path}: prime must be an integer")
     n = precision if precision is not None else doc.get("precision", DEFAULT_PRECISION)
     t = truncation if truncation is not None else doc.get("truncation", DEFAULT_TRUNCATION)
@@ -74,12 +79,12 @@ def load_problem(text: str, path: str = "problem",
         if max_iterations is not None
         else doc.get("max_iterations", DEFAULT_MAX_ITERATIONS)
     )
-    if not (isinstance(n, int) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise ValidationError(f"{path}: precision must be a positive integer")
-    if not (isinstance(t, int) and t >= 1):
+    if not (_is_int(t) and t >= 1):
         raise ValidationError(f"{path}: truncation must be a positive integer")
-    if not (isinstance(n_max, int) and n_max >= 0):
-        raise ValidationError(f"{path}: max_iterations must be >= 0")
+    if not (_is_int(n_max) and n_max >= 0):
+        raise ValidationError(f"{path}: max_iterations must be a non-negative integer")
     try:
         ctx = PadicContext(prime, n)
     except ValueError as exc:
@@ -137,7 +142,12 @@ def load_problem(text: str, path: str = "problem",
             coeff = _require(term, "coefficient", where)
             if not (isinstance(expo, list) and len(expo) == g):
                 raise ValidationError(f"{where}: exponents must list {g} integers")
-            key = tuple(int(e) for e in expo)
+            for e in expo:
+                if not (_is_int(e) and e >= 0):
+                    raise ValidationError(
+                        f"{where}: exponent {e!r} is not a non-negative integer"
+                    )
+            key = tuple(expo)
             if key in terms:
                 raise ValidationError(f"{where}: duplicate exponent vector {key}")
             terms[key] = _parse_rational(ctx, coeff, where)

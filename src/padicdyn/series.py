@@ -170,14 +170,7 @@ class TruncatedSeries:
         """Drop to a lower truncation order, folding dropped coefficients into the tail."""
         if order >= self._t:
             return self
-        slope = self.tail.slope if not self.tail.is_infinite else Fraction(0)
-        offset = self.tail.offset
-        for i in range(order + 1, self._t + 1):
-            if self._u[i] == 0 and self._v[i] >= INF_BOUND:
-                continue
-            cand = Fraction(self._v[i]) - slope * i
-            if cand < offset:
-                offset = cand
+        slope, offset = self._envelope(order + 1)
         tail = ZERO_TAIL if offset == _INF else TailBound(slope, offset)
         n = order + 1
         return TruncatedSeries(self.ctx, order, self._v[:n], self._u[:n], self._k[:n], tail)
@@ -451,7 +444,8 @@ class TruncatedSeries:
             av, au, ak = _core.tr_add(p, av, au, ak, self._v[i], self._u[i], self._k[i])
         result = PadicNumber(self.ctx, av, au, ak)
         if err is not None:
-            result = _cap_absolute_precision(result, err)
+            # forget the digits beyond the certified error valuation
+            result = result + self.ctx.zero(err)
         return result
 
     def newton_polygon(self) -> list[tuple[Fraction, int]]:
@@ -533,19 +527,6 @@ class TruncatedSeries:
                         f" (margin {phi} at degree {self._t + 1})"
                     )
         return ZeroCount(n_m, certified, reason)
-
-
-def _cap_absolute_precision(x: PadicNumber, bound: int) -> PadicNumber:
-    """Forget digits beyond absolute precision `bound` (certified-error capping)."""
-    if x._u == 0:
-        return PadicNumber(x.ctx, min(x._v, bound), 0, 0)
-    if x._v >= bound:
-        return PadicNumber(x.ctx, bound, 0, 0)
-    if x._v + x._k <= bound:
-        return x
-    k = bound - x._v
-    p = x.ctx.prime
-    return PadicNumber(x.ctx, x._v, x._u % p**k, k)
 
 
 def _lower_hull(points):

@@ -1,7 +1,11 @@
 """CLI behavior: exit codes, report determinism, subcommand output."""
 
+import copy
 import json
 
+import pytest
+
+import padicdyn.cli
 from padicdyn.cli import main
 
 
@@ -103,6 +107,47 @@ class TestCheck:
         assert doc["parameters"]["precision"] == 80
         assert doc["parameters"]["truncation"] == 16
         assert doc["direct_hits"] == list(range(11))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("exponent", -1, "variety[1][1]"),
+    ("exponent", "x", "variety[1][1]"),
+    ("exponent", 1.5, "variety[1][1]"),
+    ("exponent", True, "variety[1][1]"),
+    ("prime", True, "prime"),
+    ("precision", True, "precision"),
+    ("truncation", True, "truncation"),
+    ("truncation", 24.0, "truncation"),
+    ("max_iterations", False, "max_iterations"),
+    ("max_iterations", 2.5, "max_iterations"),
+    # psi_12: a strong pseudoprime to the bases 2..37, exposed by base 41
+    ("prime", 318665857834031151167461, "not prime"),
+    # psi_13: beyond the range the Miller-Rabin bases decide
+    ("prime", 3317044064679887385961981, "primality range"),
+])
+def test_malformed_input_exit_3(tmp_path, capsys, field, value, message):
+    doc = copy.deepcopy(DIAG)
+    if field == "exponent":
+        doc["variety"][0][0]["exponents"] = [value, 0]
+    else:
+        doc[field] = value
+    path = write(tmp_path, "bad.json", doc)
+    assert main(["check", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(spec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(padicdyn.cli, "analyze", broken)
+    path = write(tmp_path, "diag.json", DIAG)
+    assert main(["check", path]) == 4
+    assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
 
 
 class TestSubcommands:

@@ -48,6 +48,11 @@ class TestContext:
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert is_prime(2**31 - 1)
         assert not is_prime(2**31)
+        # psi_12 passes the strong test to every base 2..37; base 41 exposes it
+        assert not is_prime(318665857834031151167461)
+        # psi_13 passes all 13 bases 2..41: outside the proven range
+        with pytest.raises(ValueError):
+            is_prime(3317044064679887385961981)
 
 
 class TestFromRational:
