@@ -12,6 +12,12 @@ A coefficient is a triple ``(v, u, k)`` over a fixed prime ``p``:
 Precision propagation is pessimistic: a result never claims more digits than
 its operands guarantee, and additive cancellation converts a would-be unit into
 a zero triple carrying the surviving absolute-precision bound.
+
+A sum of products (a convolution coefficient) has a closed form: its absolute
+precision ``A`` is the least absolute precision of its terms, and its value is
+the exact sum of the products reduced modulo ``p**A``.  Adding the terms one
+by one with ``tr_add`` gives the same triple in any order, so ``series_mul``
+and ``conv_at`` compute the closed form directly.
 """
 
 INF_BOUND = 1 << 40
@@ -19,15 +25,24 @@ INF_BOUND = 1 << 40
 _POW_CACHE = {}
 
 
-def _ppow(p, e):
-    """p**e via a per-prime cache (exponents are bounded by the precision cap)."""
+def _powers(p, e):
+    """The cached list [1, p, p**2, ...], extended through p**e.
+
+    Exponents are bounded by the operands' precision, so the cache stays as
+    long as the largest ``k`` in use plus one.
+    """
     cache = _POW_CACHE.get(p)
     if cache is None:
         cache = [1]
         _POW_CACHE[p] = cache
     while len(cache) <= e:
         cache.append(cache[-1] * p)
-    return cache[e]
+    return cache
+
+
+def _ppow(p, e):
+    """p**e from the per-prime cache."""
+    return _powers(p, e)[e]
 
 
 def tr_mul(p, v1, u1, k1, v2, u2, k2):
@@ -98,11 +113,75 @@ def tr_div(p, v1, u1, k1, v2, u2, k2):
     return (v1 - v2, u, k)
 
 
+def _conv(p, av, au, ak, bv, bu, bk, n, lo, hi):
+    """Sum of a[i]*b[n-i] for lo <= i <= hi, in closed form (indices in range).
+
+    A first pass finds the absolute precision ``A`` of the sum (the least
+    absolute precision of its terms) and the least valuation ``m`` of a
+    unit*unit term; a second pass adds the unit*unit terms below ``A`` as one
+    exact integer scaled by ``p**-m`` and reduces it once modulo ``p**(A - m)``.
+    Every power used has exponent below ``A - m``, which is at most the largest
+    ``k`` among the operands.
+    """
+    a = INF_BOUND
+    m = INF_BOUND
+    for i in range(lo, hi + 1):
+        ui = au[i]
+        vi = av[i]
+        if ui == 0 and vi >= INF_BOUND:
+            continue
+        j = n - i
+        uj = bu[j]
+        vj = bv[j]
+        if uj == 0 and vj >= INF_BOUND:
+            continue
+        vi += vj  # the term's valuation, or its bound if a factor is an inexact zero
+        if ui != 0 and uj != 0:
+            if vi < m:
+                m = vi
+            ki = ak[i]
+            kj = bk[j]
+            vi += ki if ki < kj else kj
+        if vi < a:
+            a = vi
+    if m >= a:
+        return (a, 0, 0)
+    e = a - m
+    pw = _powers(p, e)
+    s = 0
+    for i in range(lo, hi + 1):
+        ui = au[i]
+        if ui == 0:
+            continue
+        j = n - i
+        uj = bu[j]
+        if uj == 0:
+            continue
+        d = av[i] + bv[j] - m
+        if d == 0:
+            s += ui * uj
+        elif d < e:
+            s += ui * uj * pw[d]
+    s %= pw[e]
+    if s == 0:
+        return (a, 0, 0)
+    while s % p == 0:
+        s //= p
+        m += 1
+        e -= 1
+    return (m, s, e)
+
+
 def series_mul(p, av, au, ak, bv, bu, bk, t_out):
     """Cauchy product of two coefficient arrays, truncated at degree t_out.
 
-    Accumulation runs in ascending index order: precision tracking is not
-    associative, so the order is part of the result.
+    Coefficient n is the closed form of ``_conv``: its absolute precision is
+    ``A_n = min over i+j=n of min(abs(a_i) + v(b_j), v(a_i) + abs(b_j))``
+    (an inexact zero contributes its bound as both valuation and absolute
+    precision; exact zeros contribute nothing), and its value is the exact sum
+    of the products reduced modulo ``p**A_n``.  A sum that vanishes modulo
+    ``p**A_n`` is the zero triple ``(A_n, 0, 0)``.  The result equals adding
+    the ``tr_mul`` products one by one with ``tr_add``, in any order.
     """
     n_a = len(av)
     n_b = len(bv)
@@ -110,16 +189,9 @@ def series_mul(p, av, au, ak, bv, bu, bk, t_out):
     cu = []
     ck = []
     for n in range(t_out + 1):
-        v, u, k = INF_BOUND, 0, 0
         lo = 0 if n < n_b else n - n_b + 1
         hi = n if n < n_a else n_a - 1
-        for i in range(lo, hi + 1):
-            ui = au[i]
-            if ui == 0 and av[i] >= INF_BOUND:
-                continue
-            j = n - i
-            wv, wu, wk = tr_mul(p, av[i], ui, ak[i], bv[j], bu[j], bk[j])
-            v, u, k = tr_add(p, v, u, k, wv, wu, wk)
+        v, u, k = _conv(p, av, au, ak, bv, bu, bk, n, lo, hi)
         cv.append(v)
         cu.append(u)
         ck.append(k)
@@ -134,12 +206,4 @@ def conv_at(p, av, au, ak, bv, bu, bk, n, imin, imax):
     hi = imax if imax < n else n
     if hi > len(av) - 1:
         hi = len(av) - 1
-    v, u, k = INF_BOUND, 0, 0
-    for i in range(lo, hi + 1):
-        ui = au[i]
-        if ui == 0 and av[i] >= INF_BOUND:
-            continue
-        j = n - i
-        wv, wu, wk = tr_mul(p, av[i], ui, ak[i], bv[j], bu[j], bk[j])
-        v, u, k = tr_add(p, v, u, k, wv, wu, wk)
-    return (v, u, k)
+    return _conv(p, av, au, ak, bv, bu, bk, n, lo, hi)

@@ -299,11 +299,28 @@ class TruncatedSeries:
             raise ValueError("inner constant term must be exactly zero for series composition")
         t = min(self._t, inner._t)
         inner_t = inner.truncate(t)
-        # Horner over the series ring, highest coefficient first.
-        acc = TruncatedSeries.constant(self.ctx, self.coefficient(self._t), t)
-        for i in range(self._t - 1, -1, -1):
-            acc = acc * inner_t
-            acc = acc + self.coefficient(i)
+        p = self.ctx.prime
+        n_in = inner_t._effective_length()
+        iv, iu, ik = inner_t._v[:n_in], inner_t._u[:n_in], inner_t._k[:n_in]
+        # Horner on coefficient arrays, highest coefficient first.  With an
+        # exactly-zero inner constant the accumulator at step i reaches only
+        # degrees <= t - i of the result, and outer coefficients above t meet
+        # only exact zeros; otherwise every step keeps all t + 1 degrees.
+        top = min(self._t, t) if inner_c0_exact_zero else self._t
+        vals, units, precs = [self._v[top]], [self._u[top]], [self._k[top]]
+        for i in range(top - 1, -1, -1):
+            deg = t - i if inner_c0_exact_zero else t
+            vals, units, precs = _core.series_mul(
+                p, iv[:deg + 1], iu[:deg + 1], ik[:deg + 1], vals, units, precs, deg
+            )
+            vals[0], units[0], precs[0] = _core.tr_add(
+                p, vals[0], units[0], precs[0], self._v[i], self._u[i], self._k[i]
+            )
+        pad = t + 1 - len(vals)  # no Horner step ran: a constant outer, or t == 0
+        if pad > 0:
+            vals += [INF_BOUND] * pad
+            units += [0] * pad
+            precs += [0] * pad
         # Tail of the true composition from the envelopes.
         s_in, b_in = inner_t._envelope(1 if inner_c0_exact_zero else 0)
         s_o, b_o = self._envelope(1)
@@ -326,7 +343,7 @@ class TruncatedSeries:
                 tail = TailBound(s_in, b_o + s)
             else:
                 tail = TailBound(s_in + s, b_o)
-        return TruncatedSeries(self.ctx, t, acc._v, acc._u, acc._k, tail)
+        return TruncatedSeries(self.ctx, t, vals, units, precs, tail)
 
     def multiplicative_inverse(self) -> "TruncatedSeries":
         """Reciprocal series 1/self; the constant term must be a unit."""
@@ -438,7 +455,7 @@ class TruncatedSeries:
                 f"certified error valuation {err} below requested {min_precision}"
             )
         p = self.ctx.prime
-        av, au, ak = self.coefficient(self._t)._v, self.coefficient(self._t)._u, self.coefficient(self._t)._k
+        av, au, ak = self._v[self._t], self._u[self._t], self._k[self._t]
         for i in range(self._t - 1, -1, -1):
             av, au, ak = _core.tr_mul(p, av, au, ak, z._v, z._u, z._k)
             av, au, ak = _core.tr_add(p, av, au, ak, self._v[i], self._u[i], self._k[i])

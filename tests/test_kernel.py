@@ -1,10 +1,14 @@
-"""Soundness of the coefficient kernel: precision is never over-claimed.
+"""Soundness and bit-identity of the coefficient kernel.
 
 A triple ``(v, u, k)`` stands for a ball of p-adic numbers: ``p**v * (u +
 O(p**k))`` when ``u != 0``, ``O(p**v)`` when ``u == 0``, and ``{0}`` for an
 exact zero.  For random operands, and random exact rationals drawn from their
 balls, the exact result of every kernel operation must lie in the ball of the
 triple the kernel returns.  Every certificate downstream assumes this.
+
+The closed-form convolution behind ``series_mul`` and ``conv_at`` must also
+return exactly the triples of the schoolbook loop kept below, which adds the
+``tr_mul`` products one by one with ``tr_add``.
 """
 
 import math
@@ -12,9 +16,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padicdyn
 from padicdyn import _core
+from padicdyn._core import arith
 
 INF = _core.INF_BOUND
 PRIMES = [2, 3, 5, 7]
@@ -121,6 +128,123 @@ def test_series_kernels_sound(p):
                 assert in_ball(exact, p, c), (a, b, m, c)
             exact = sum((xs[i] * ys[n - i] for i in window), Fraction(0))
             assert in_ball(exact, p, single), (a, b, n, lo, hi, single)
+
+
+def schoolbook_series_mul(p, av, au, ak, bv, bu, bk, t_out):
+    """Reference product: ascending-index accumulation of tr_mul terms."""
+    out = []
+    for n in range(t_out + 1):
+        lo = 0 if n < len(bv) else n - len(bv) + 1
+        out.append(_schoolbook_sum(p, av, au, ak, bv, bu, bk, n, lo, min(n, len(av) - 1)))
+    return tuple(map(list, zip(*out)))
+
+
+def schoolbook_conv_at(p, av, au, ak, bv, bu, bk, n, imin, imax):
+    lo = max(imin, 0, n - (len(bv) - 1))
+    hi = min(imax, n, len(av) - 1)
+    return _schoolbook_sum(p, av, au, ak, bv, bu, bk, n, lo, hi)
+
+
+def _schoolbook_sum(p, av, au, ak, bv, bu, bk, n, lo, hi):
+    v, u, k = INF, 0, 0
+    for i in range(lo, hi + 1):
+        if au[i] == 0 and av[i] >= INF:
+            continue
+        j = n - i
+        wv, wu, wk = arith.tr_mul(p, av[i], au[i], ak[i], bv[j], bu[j], bk[j])
+        v, u, k = arith.tr_add(p, v, u, k, wv, wu, wk)
+    return (v, u, k)
+
+
+def random_operands(rng, p):
+    """Two coefficient lists with exact and inexact zeros, negative valuations
+    and, often, pairs of products at one degree that cancel to some digits."""
+    cap = rng.choice([1, 3, 20])
+    a = [random_triple(rng, p, cap) for _ in range(rng.randint(1, 14))]
+    b = [random_triple(rng, p, cap) for _ in range(rng.randint(1, 14))]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(len(a)), rng.randrange(len(b))
+        i2 = rng.randrange(len(a))
+        j2 = i + j - i2
+        if i2 != i and 0 <= j2 < len(b) and b[j][1] != 0:
+            a[i2] = a[i]  # a_i2 * b_j2 cancels a_i * b_j to some digits
+            b[j2] = cancelling_partner(rng, p, b[j])
+    return a, b
+
+
+def assert_kernel_matches_schoolbook(p, a, b, t, n, imin, imax):
+    av, au, ak = map(list, zip(*a))
+    bv, bu, bk = map(list, zip(*b))
+    got = _core.series_mul(p, av, au, ak, bv, bu, bk, t)
+    assert got == schoolbook_series_mul(p, av, au, ak, bv, bu, bk, t), (p, a, b, t)
+    got = _core.conv_at(p, av, au, ak, bv, bu, bk, n, imin, imax)
+    assert got == schoolbook_conv_at(p, av, au, ak, bv, bu, bk, n, imin, imax), (p, a, b, n, imin, imax)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_series_kernels_match_schoolbook(p):
+    rng = random.Random(3000 + p)
+    for _ in range(400):
+        a, b = random_operands(rng, p)
+        t = rng.randint(0, len(a) + len(b) + 3)  # often past the product degree
+        n = rng.randint(0, t)
+        imin = rng.randint(-2, n + 1)
+        imax = rng.randint(imin - 1, n + 2)
+        assert_kernel_matches_schoolbook(p, a, b, t, n, imin, imax)
+
+
+@st.composite
+def triples(draw, p):
+    kind = draw(st.sampled_from(["exact", "inexact", "unit", "unit"]))
+    if kind == "exact":
+        return (INF, 0, 0)
+    v = draw(st.integers(-12, 12))
+    if kind == "inexact":
+        return (v, 0, 0)
+    k = draw(st.integers(1, 12))
+    u = p * draw(st.integers(0, p ** (k - 1) - 1)) + draw(st.integers(1, p - 1))
+    return (v, u, k)
+
+
+@st.composite
+def kernel_cases(draw):
+    p = draw(st.sampled_from(PRIMES))
+    a = draw(st.lists(triples(p), min_size=1, max_size=8))
+    b = draw(st.lists(triples(p), min_size=1, max_size=8))
+    if draw(st.booleans()) and b[0][1] != 0 and len(a) > 1 and len(b) > 1:
+        # a_0*b_1 + a_1*b_0 with a_1 = a_0 and b_1 close to -b_0
+        v, u, k = b[0]
+        keep = draw(st.integers(1, k))
+        a[1] = a[0]
+        b[1] = (v, -u % p**keep, keep)
+    t = draw(st.integers(0, len(a) + len(b) + 2))
+    n = draw(st.integers(0, t))
+    imin = draw(st.integers(-2, n + 1))
+    imax = draw(st.integers(-1, n + 2))
+    return p, a, b, t, n, imin, imax
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_series_kernels_match_schoolbook_hypothesis(case):
+    assert_kernel_matches_schoolbook(*case)
+
+
+def test_powers_stay_within_operand_precision():
+    # a valuation spread of 10**4 must not build powers past the largest k
+    p = 11
+    arith._POW_CACHE.pop(p, None)
+    k_max = 6
+    a = [(0, 3, 4), (10_000, 5, k_max), (-10_000, 7, 2)]
+    b = [(10_000, 2, 5), (0, 9, 3), (INF, 0, 0), (-10_000, 4, k_max)]
+    av, au, ak = map(list, zip(*a))
+    bv, bu, bk = map(list, zip(*b))
+    product = _core.series_mul(p, av, au, ak, bv, bu, bk, 6)
+    for n in range(6):
+        _core.conv_at(p, av, au, ak, bv, bu, bk, n, 0, n)
+        _core.conv_at(p, bv, bu, bk, av, au, ak, n, 0, n)
+    assert len(arith._POW_CACHE[p]) <= k_max + 1
+    assert product == schoolbook_series_mul(p, av, au, ak, bv, bu, bk, 6)
 
 
 def test_backend_name_is_pure():

@@ -1,12 +1,14 @@
 """Truncated series: ring ops, composition, reversion, certified evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from padicdyn import PadicContext, PrecisionError, TruncatedSeries
-from padicdyn.series import TailBound
+from padicdyn import PadicContext, Polynomial, PrecisionError, TruncatedSeries, linearize
+from padicdyn.padic import INF_BOUND
+from padicdyn.series import ZERO_TAIL, TailBound
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +116,92 @@ class TestCompose:
             left = f.compose(g).compose(h)
             right = f.compose(g.compose(h))
             assert series_equal_to_precision(left, right)
+
+
+def reference_compose(outer, inner):
+    """Full-order Horner from the public ring operations, with the tail rule
+    of TruncatedSeries.compose: the reference the array Horner must match."""
+    ctx = outer.ctx
+    inner_c0_exact_zero = inner.coefficient(0).is_exact_zero
+    t = min(outer.order, inner.order)
+    inner_t = inner.truncate(t)
+    acc = TruncatedSeries.constant(ctx, outer.coefficient(outer.order), t)
+    for i in range(outer.order - 1, -1, -1):
+        acc = acc * inner_t + outer.coefficient(i)
+    s_in, b_in = inner_t._envelope(1 if inner_c0_exact_zero else 0)
+    s_o, b_o = outer._envelope(1)
+    d_outer = outer._degree_bound()
+    d_inner = inner_t._degree_bound()
+    if b_o == math.inf or b_in == math.inf:
+        tail = ZERO_TAIL
+    elif outer.tail.is_infinite and inner_t.tail.is_infinite and d_outer * (d_inner or 0) <= t:
+        tail = ZERO_TAIL
+    else:
+        s = s_o + b_in
+        if outer.tail.is_infinite:
+            tail = TailBound(s_in, b_o + min(s, s * d_outer))
+        elif s >= 0:
+            tail = TailBound(s_in, b_o + s)
+        else:
+            tail = TailBound(s_in + s, b_o)
+    return acc, tail
+
+
+def triples_of(f):
+    return [(c._v, c._u, c._k) for c in f.coefficients()]
+
+
+def assert_compose_matches_reference(outer, inner):
+    got = outer.compose(inner)
+    acc, tail = reference_compose(outer, inner)
+    assert got.order == acc.order
+    assert triples_of(got) == triples_of(acc)
+    assert got.tail == tail
+
+
+class TestComposeMatchesFullHorner:
+    @pytest.mark.parametrize("outer_order, inner_order", [(14, 9), (9, 9), (6, 11)])
+    def test_random_series(self, ctx, outer_order, inner_order):
+        rng = random.Random(53 + outer_order + inner_order)
+        for trial in range(6):
+            tail = TailBound(Fraction(rng.randint(0, 2)), Fraction(rng.randint(-3, 3)))
+            outer = random_series(ctx, rng, outer_order)
+            outer = TruncatedSeries(ctx, outer_order, outer._v, outer._u, outer._k,
+                                    ZERO_TAIL if trial % 3 == 0 else tail)
+            inner = random_series(ctx, rng, inner_order, zero_constant=True)
+            inner = inner.scale(ctx.from_rational(rng.choice([1, 3, 9]), rng.choice([1, 2, 3])))
+            assert_compose_matches_reference(outer, inner)
+
+    def test_inexact_zeros_in_both(self, ctx):
+        rng = random.Random(59)
+        coeffs = [rng.choice([ctx.zero(rng.randint(0, 30)), rng.randint(-40, 40)]) for _ in range(11)]
+        outer = TruncatedSeries.from_coefficients(ctx, coeffs, tail=TailBound(Fraction(1), Fraction(0)))
+        inner = random_series(ctx, rng, 10, zero_constant=True)
+        x = ctx.from_rational(5, 7)
+        inner = inner + TruncatedSeries.from_coefficients(ctx, [0, x - x, 0, 9 - ctx.integer(9)],
+                                                           order=10)
+        assert not inner.coefficient(1).is_exact_zero
+        assert_compose_matches_reference(outer, inner)
+
+    def test_exp_of_scaled_log(self):
+        # the pullback of build_F: E_2(lambda * L_1(w))
+        c = PadicContext(3, 48)
+        t = 12
+        lin1 = linearize(Polynomial(c, [0, 3, 1]), c.zero(), t)
+        lin2 = linearize(Polynomial(c, [0, 6, -2, 1]), c.zero(), t)
+        for lam in (c.one(), c.from_rational(2, 5), c.integer(3)):
+            inner = lin1.log_series.scale(lam)
+            assert_compose_matches_reference(lin2.exp_series, inner)
+            assert_compose_matches_reference(lin2.exp_series, inner.truncate(7))
+
+    def test_polynomial_outer_inexact_inner_constant(self, ctx):
+        outer = TruncatedSeries.from_coefficients(ctx, [1, 2, 0, 5, 1], order=9)
+        three = ctx.integer(3)
+        for c0 in (three - three, ctx.from_rational(1, 3) * ctx.zero(20), ctx.integer(2)):
+            inner = TruncatedSeries.from_coefficients(ctx, [c0, 1, 4], order=9)
+            assert inner.coefficient(0)._v < INF_BOUND
+            assert_compose_matches_reference(outer, inner)
+            assert_compose_matches_reference(outer, inner.truncate(3))
 
 
 class TestReversion:
