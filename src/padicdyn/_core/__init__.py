@@ -6,8 +6,8 @@ on this module (``checkbench/tracing.py``) sees every call from outside the
 kernel and none of the kernel's own inner calls.
 """
 
-from .arith import INF_BOUND, conv_at, series_mul, tr_add, tr_div, tr_mul, tr_neg
+from .arith import INF_BOUND, conv_at, dot, series_mul, tr_add, tr_div, tr_mul, tr_neg
 
 BACKEND = "pure"
 
-__all__ = ["BACKEND", "INF_BOUND", "conv_at", "series_mul", "tr_add", "tr_div", "tr_mul", "tr_neg"]
+__all__ = ["BACKEND", "INF_BOUND", "conv_at", "dot", "series_mul", "tr_add", "tr_div", "tr_mul", "tr_neg"]

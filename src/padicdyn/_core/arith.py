@@ -16,8 +16,8 @@ a zero triple carrying the surviving absolute-precision bound.
 A sum of products (a convolution coefficient) has a closed form: its absolute
 precision ``A`` is the least absolute precision of its terms, and its value is
 the exact sum of the products reduced modulo ``p**A``.  Adding the terms one
-by one with ``tr_add`` gives the same triple in any order, so ``series_mul``
-and ``conv_at`` compute the closed form directly.
+by one with ``tr_add`` gives the same triple in any order, so ``series_mul``,
+``conv_at`` and ``dot`` compute the closed form directly.
 """
 
 INF_BOUND = 1 << 40
@@ -207,3 +207,15 @@ def conv_at(p, av, au, ak, bv, bu, bk, n, imin, imax):
     if hi > len(av) - 1:
         hi = len(av) - 1
     return _conv(p, av, au, ak, bv, bu, bk, n, lo, hi)
+
+
+def dot(p, av, au, ak, bv, bu, bk):
+    """Inner product: sum of a[i]*b[i] over the indices both arrays have.
+
+    The closed form of ``_conv`` with ``b`` reversed, so it equals adding the
+    ``tr_mul`` products one by one with ``tr_add``; an empty sum is an exact zero.
+    """
+    n = min(len(av), len(bv)) - 1
+    if n < 0:
+        return (INF_BOUND, 0, 0)
+    return _conv(p, av, au, ak, bv[n::-1], bu[n::-1], bk[n::-1], n, 0, n)

@@ -27,8 +27,8 @@ _ERROR_EXIT = 3
 _INTERNAL_EXIT = 4
 
 
-def _fmt_padic(x, digits: int = 8) -> str:
-    d = render_padic(x, digits)
+def _fmt_padic(x) -> str:
+    d = render_padic(x)
     if "zero" in d:
         return "0 (exact)"
     if "zero_to_valuation" in d:

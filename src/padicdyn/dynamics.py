@@ -17,6 +17,9 @@ ATTRACTING = "attracting"
 SUPERATTRACTING = "superattracting"
 INDIFFERENT = "indifferent"
 
+# find_fixed_points accepts a lifted point once v(P(x) - x) >= N - _FIXED_POINT_SLACK
+_FIXED_POINT_SLACK = 8
+
 
 class Polynomial:
     """Exact univariate polynomial over Q_p, degree >= 1.
@@ -37,17 +40,6 @@ class Polynomial:
             raise ValidationError("leading coefficient must be certified nonzero")
         self.ctx = ctx
         self.coefficients = coeffs
-
-    @classmethod
-    def from_rationals(cls, ctx, rationals):
-        """Coefficients as (numerator, denominator) pairs or ints, ascending degree."""
-        coeffs = []
-        for r in rationals:
-            if isinstance(r, tuple):
-                coeffs.append(ctx.from_rational(*r))
-            else:
-                coeffs.append(ctx.integer(r))
-        return cls(ctx, coeffs)
 
     @property
     def degree(self) -> int:
@@ -117,12 +109,12 @@ def _classify(multiplier: PadicNumber) -> str:
     return ATTRACTING if multiplier.valuation >= 1 else INDIFFERENT
 
 
-def find_fixed_points(P: Polynomial, slack: int = 8) -> FixedPointScan:
+def find_fixed_points(P: Polynomial) -> FixedPointScan:
     """All Z_p fixed points of P that are simple roots of P(X) - X.
 
     Scans residues a mod p with P(a) - a = 0 mod p and (P - X)'(a) a unit mod
     p, then Newton-lifts each to working precision.  Returned points satisfy
-    v(P(alpha) - alpha) >= N - slack.
+    v(P(alpha) - alpha) >= N - _FIXED_POINT_SLACK.
     """
     ctx = P.ctx
     p = ctx.prime
@@ -152,20 +144,19 @@ def find_fixed_points(P: Polynomial, slack: int = 8) -> FixedPointScan:
         x = za
         for _ in range(n_prec.bit_length() + 3):
             fx = Q(x)
-            if fx.is_zero_to_precision and fx.zero_bound >= n_prec - slack:
+            if fx.is_zero_to_precision and fx.zero_bound >= n_prec - _FIXED_POINT_SLACK:
                 break
             x = x - fx / Qprime(x)
         fx = Q(x)
-        if not (fx.is_zero_to_precision and fx.zero_bound >= n_prec - slack):
+        if not (fx.is_zero_to_precision and fx.zero_bound >= n_prec - _FIXED_POINT_SLACK):
             unresolved.append(a)
             continue
         mult = P.derivative()(x)
         cls = _classify(mult)
         radius = None
-        info = FixedPointInfo(x, mult, cls, radius)
         if cls == ATTRACTING:
-            info = FixedPointInfo(x, mult, cls, attracting_radius(P, info))
-        points.append(info)
+            radius = contraction_radius(P.shift_argument(x), mult.valuation)
+        points.append(FixedPointInfo(x, mult, cls, radius))
     return FixedPointScan(points, unresolved)
 
 

@@ -26,7 +26,7 @@ from math import floor
 from . import _core
 from .errors import PrecisionError, ValidationError
 from .padic import Ball, INF_BOUND, PadicNumber
-from .series import TailBound, TruncatedSeries
+from .series import TailBound, TruncatedSeries, solve_by_powers
 from .dynamics import Polynomial, contraction_radius
 
 _HEADROOM = 8
@@ -78,56 +78,44 @@ def _check_headroom(G: Polynomial, order: int):
         )
 
 
+def _koenigs_divisor(a1: PadicNumber, order: int):
+    """divide(n, s) = s / (a1^n - a1) for 2 <= n <= order.
+
+    a1^n - a1 = a1 * (a1^{n-1} - 1) and the second factor is a unit, so s is
+    divided by a1 and then by that unit; a1^{n-1} is carried incrementally.
+    """
+    p = a1.ctx.prime
+    one = a1.ctx.one()
+    units = [None, None]
+    a1pow = a1
+    for _ in range(2, order + 1):
+        units.append(a1pow - one)
+        a1pow = a1pow * a1
+
+    def divide(n, s):
+        unit = units[n]
+        v, u, k = _core.tr_div(p, *s, a1._v, a1._u, a1._k)
+        return _core.tr_div(p, v, u, k, unit._v, unit._u, unit._k)
+
+    return divide
+
+
 def koenigs_coefficients(G: Polynomial, order: int) -> TruncatedSeries:
     """Normalized linearizing series E for G: c_1 = 1 and, for n >= 2,
 
-        (a1^n - a1) c_n = sum_{i=2}^{r} a_i * sum_{j_1+...+j_i=n, j>=1} prod c_j.
+        (a1^n - a1) c_n = sum_{i=2}^{r} a_i * [X^n] E^i,
 
-    Powers of E are carried incrementally, so each degree costs O(r*n)
-    coefficient products.  The attached tail bound is
+    solved by ``solve_by_powers`` with G's coefficients as weights, so each
+    degree costs O(r*n) coefficient products.  The attached tail bound is
     v(c_n) >= -n*(v(a1) + w + 1) with w the integrality defect of G.
     """
-    ctx = G.ctx
     a1 = _check_multiplier(G)
     _check_headroom(G, order)
-    p = ctx.prime
-    r = G.degree
-    t = order
-    one = ctx.one()
-
-    ev = [INF_BOUND] * (t + 1)
-    eu = [0] * (t + 1)
-    ek = [0] * (t + 1)
-    if t >= 1:
-        ev[1], eu[1], ek[1] = one._v, one._u, one._k
-    # pows[i] = coefficient arrays of E**i for 2 <= i <= r (E**1 is E itself)
-    pows = {
-        i: ([INF_BOUND] * (t + 1), [0] * (t + 1), [0] * (t + 1)) for i in range(2, r + 1)
-    }
-    a1pow = a1  # a1^(n-1) while solving degree n
-    for n in range(2, t + 1):
-        prev = (ev, eu, ek)
-        for i in range(2, r + 1):
-            pv, pu, pk = pows[i]
-            v, u, k = _core.conv_at(p, ev, eu, ek, prev[0], prev[1], prev[2], n, 1, n - i + 1)
-            pv[n], pu[n], pk[n] = v, u, k
-            prev = pows[i]
-        sv, su, sk = INF_BOUND, 0, 0
-        for i in range(2, r + 1):
-            ai = G.coefficients[i]
-            if ai.is_exact_zero:
-                continue
-            pv, pu, pk = pows[i]
-            wv, wu, wk = _core.tr_mul(p, ai._v, ai._u, ai._k, pv[n], pu[n], pk[n])
-            sv, su, sk = _core.tr_add(p, sv, su, sk, wv, wu, wk)
-        # divide by a1^n - a1 = a1 * (a1^{n-1} - 1), the second factor a unit
-        unit = a1pow - one
-        v, u, k = _core.tr_div(p, sv, su, sk, a1._v, a1._u, a1._k)
-        v, u, k = _core.tr_div(p, v, u, k, unit._v, unit._u, unit._k)
-        ev[n], eu[n], ek[n] = v, u, k
-        a1pow = a1pow * a1
+    coeffs = G.coefficients
+    weights = ([c._v for c in coeffs], [c._u for c in coeffs], [c._k for c in coeffs])
     s = a1.valuation + _integrality_defect(G) + 1
-    return TruncatedSeries(ctx, t, ev, eu, ek, TailBound(Fraction(-s), Fraction(0)))
+    tail = TailBound(Fraction(-s), Fraction(0))
+    return solve_by_powers(G.ctx, order, G.ctx.one(), weights, _koenigs_divisor(a1, order), tail)
 
 
 def inverse_koenigs_coefficients(G: Polynomial, order: int) -> TruncatedSeries:
@@ -161,29 +149,17 @@ def inverse_koenigs_coefficients(G: Polynomial, order: int) -> TruncatedSeries:
     lk = [0] * (t + 1)
     if t >= 1:
         lv[1], lu[1], lk[1] = one._v, one._u, one._k
-    a1pow = a1
+    divide = _koenigs_divisor(a1, t)
     for n in range(2, t + 1):
-        sv, su, sk = INF_BOUND, 0, 0
-        for m in range(1, n):
-            if lu[m] == 0 and lv[m] >= INF_BOUND:
-                continue
-            pv, pu, pk = gpow[m]
-            if pu[n] == 0 and pv[n] >= INF_BOUND:
-                continue
-            wv, wu, wk = _core.tr_mul(p, lv[m], lu[m], lk[m], pv[n], pu[n], pk[n])
-            sv, su, sk = _core.tr_add(p, sv, su, sk, wv, wu, wk)
-        unit = a1pow - one
-        v, u, k = _core.tr_div(p, sv, su, sk, a1._v, a1._u, a1._k)
-        v, u, k = _core.tr_div(p, v, u, k, unit._v, unit._u, unit._k)
-        v, u, k = _core.tr_neg(p, v, u, k)
-        lv[n], lu[n], lk[n] = v, u, k
-        a1pow = a1pow * a1
+        s = _core.dot(
+            p, lv[1:n], lu[1:n], lk[1:n],
+            [gpow[m][0][n] for m in range(1, n)],
+            [gpow[m][1][n] for m in range(1, n)],
+            [gpow[m][2][n] for m in range(1, n)],
+        )
+        lv[n], lu[n], lk[n] = _core.tr_neg(p, *divide(n, s))
     sigma = a1.valuation + _integrality_defect(G)
     return TruncatedSeries(ctx, t, lv, lu, lk, TailBound(Fraction(-sigma), Fraction(sigma)))
-
-
-def _poly_as_series(P: Polynomial, order: int) -> TruncatedSeries:
-    return TruncatedSeries.from_coefficients(P.ctx, P.coefficients, order=order)
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -285,7 +261,8 @@ def verify_functional_equation(lin: Linearization) -> TruncatedSeries:
     report, not an exception.
     """
     t = lin.exp_series.order
-    g_series = _poly_as_series(lin.conjugate_poly, t)
+    G = lin.conjugate_poly
+    g_series = TruncatedSeries.from_coefficients(G.ctx, G.coefficients, order=t)
     lhs = g_series.compose(lin.exp_series)
     scaled = TruncatedSeries.variable(lin.base_poly.ctx, t).scale(lin.multiplier)
     rhs = lin.exp_series.compose(scaled)

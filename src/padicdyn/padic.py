@@ -84,15 +84,12 @@ class PadicContext:
         if self.working_precision < 1:
             raise ValueError("working_precision must be >= 1")
 
-    def _make(self, v, u, k) -> "PadicNumber":
-        return PadicNumber(self, v, u, k)
-
     def zero(self, bound: int | None = None) -> "PadicNumber":
         """Exact zero, or a value known only to be O(p**bound)."""
-        return self._make(INF_BOUND if bound is None else min(bound, INF_BOUND), 0, 0)
+        return PadicNumber(self, INF_BOUND if bound is None else min(bound, INF_BOUND), 0, 0)
 
     def one(self) -> "PadicNumber":
-        return self._make(0, 1, self.working_precision)
+        return PadicNumber(self, 0, 1, self.working_precision)
 
     def integer(self, n: int) -> "PadicNumber":
         return self.from_rational(n, 1)
@@ -110,7 +107,7 @@ class PadicContext:
         ud = denominator // p**vd
         pk = p**n
         u = un * pow(ud, -1, pk) % pk
-        return self._make(vn - vd, u, n)
+        return PadicNumber(self, vn - vd, u, n)
 
 
 class PadicNumber:
@@ -156,11 +153,6 @@ class PadicNumber:
     @property
     def relative_precision(self) -> int:
         return self._k
-
-    @property
-    def absolute_precision(self) -> int:
-        """Exponent m such that the value is known modulo O(p**m)."""
-        return self._v + self._k if self._u != 0 else self._v
 
     @property
     def zero_bound(self) -> int:

@@ -174,8 +174,10 @@ def _discover_fixed_point(P: Polynomial, index: int) -> PadicNumber:
 
 # -- rendering -----------------------------------------------------------------
 
+_RENDER_DIGITS = 8  # leading base-p digits shown for each p-adic value
 
-def render_padic(x: PadicNumber, digit_count: int = 8) -> dict:
+
+def render_padic(x: PadicNumber) -> dict:
     """Diff-stable rendering: valuation, leading base-p digits, precision."""
     if x.is_exact_zero:
         return {"zero": "exact"}
@@ -183,7 +185,7 @@ def render_padic(x: PadicNumber, digit_count: int = 8) -> dict:
         return {"zero_to_valuation": x.zero_bound}
     return {
         "valuation": x.valuation,
-        "digits": x.digits(digit_count),
+        "digits": x.digits(_RENDER_DIGITS),
         "precision": x.relative_precision,
     }
 

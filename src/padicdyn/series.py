@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import _core
 from .errors import PrecisionError
-from .padic import Ball, INF_BOUND, PadicNumber
+from .padic import INF_BOUND, PadicNumber
 
 _INF = math.inf
 
@@ -265,21 +265,14 @@ class TruncatedSeries:
         vals, units, precs = _core.series_mul(
             self.ctx.prime, a._v[:na], a._u[:na], a._k[:na], b._v[:nb], b._u[:nb], b._k[:nb], t
         )
-        if a.tail.is_infinite and b.tail.is_infinite:
-            da, db = a._degree_bound(), b._degree_bound()
-            if da is None or db is None or da + db <= t:
-                tail = ZERO_TAIL
-            else:
-                sa, oa = a._envelope(0)
-                sb, ob = b._envelope(0)
-                tail = TailBound(min(sa, sb), oa + ob)
+        if a.tail.is_infinite and b.tail.is_infinite and (
+            (a._degree_bound() or 0) + (b._degree_bound() or 0) <= t  # None: a zero factor
+        ):
+            tail = ZERO_TAIL  # a product of polynomials that nothing truncated
         else:
             sa, oa = a._envelope(0)
             sb, ob = b._envelope(0)
-            if oa == _INF or ob == _INF:
-                tail = ZERO_TAIL
-            else:
-                tail = TailBound(min(sa, sb), oa + ob)
+            tail = ZERO_TAIL if oa == _INF or ob == _INF else TailBound(min(sa, sb), oa + ob)
         return TruncatedSeries(self.ctx, t, vals, units, precs, tail)
 
     __rmul__ = __mul__
@@ -379,8 +372,8 @@ class TruncatedSeries:
         """Compositional inverse: g with self(g(X)) = X = g(self(X)) to order T.
 
         Requires constant term zero (to precision) and a unit linear
-        coefficient.  Solved degree by degree from the coefficient recursion of
-        f(g) = X, carrying powers of g incrementally.
+        coefficient.  Solved by ``solve_by_powers`` from the coefficient
+        recursion of f(g) = X: for n > 1, 0 = c1 g_n + sum_{m>=2} f_m [X^n] g^m.
         """
         if self._t < 1:
             raise ValueError("reversion needs truncation order >= 1")
@@ -389,35 +382,6 @@ class TruncatedSeries:
         c1 = self.coefficient(1)
         if not c1.is_certified_nonzero or c1.valuation != 0:
             raise ValueError("reversion requires a unit linear coefficient")
-        p = self.ctx.prime
-        t = self._t
-        one = self.ctx.one()
-        g1 = one / c1
-        # gpow[m] holds the coefficient arrays of g**m, filled for indices < n
-        # when degree n is being solved; gpow[1] is g itself.
-        zero_row = lambda: ([INF_BOUND] * (t + 1), [0] * (t + 1), [0] * (t + 1))
-        gpow = [None] + [zero_row() for _ in range(t)]
-        gv, gu, gk = gpow[1]
-        gv[1], gu[1], gk[1] = g1._v, g1._u, g1._k
-        for n in range(2, t + 1):
-            # new entries of g**m at degree n use only g_j with j <= n-m+1 < n
-            for m in range(2, n + 1):
-                pv, pu, pk = gpow[m - 1]
-                v, u, k = _core.conv_at(p, gv, gu, gk, pv, pu, pk, n, 1, n - m + 1)
-                gpow[m][0][n], gpow[m][1][n], gpow[m][2][n] = v, u, k
-            # 0 = sum_m f_m [g^m]_n  (n > 1), solve for g_n
-            sv, su, sk = INF_BOUND, 0, 0
-            top = min(n, self._t)
-            for m in range(2, top + 1):
-                fv, fu, fk = self._v[m], self._u[m], self._k[m]
-                if fu == 0 and fv >= INF_BOUND:
-                    continue
-                pv, pu, pk = gpow[m]
-                wv, wu, wk = _core.tr_mul(p, fv, fu, fk, pv[n], pu[n], pk[n])
-                sv, su, sk = _core.tr_add(p, sv, su, sk, wv, wu, wk)
-            v, u, k = _core.tr_div(p, sv, su, sk, c1._v, c1._u, c1._k) if su != 0 else (sv, su, sk)
-            v, u, k = _core.tr_neg(p, v, u, k)
-            gv[n], gu[n], gk[n] = v, u, k
         # Tail: from the same recursion, with envelope v(f_m) >= a*m + b for
         # m >= 2 one gets v(g_n) >= A*n + B with B = max(-a, -2a-b), A = -B
         # (induction over the coefficient recursion; always feasible).
@@ -427,19 +391,23 @@ class TruncatedSeries:
         else:
             bb = max(-a, -2 * a - b)
             tail = TailBound(-bb, bb)
-        return TruncatedSeries(self.ctx, t, gv, gu, gk, tail)
+        p = self.ctx.prime
+
+        def divide(n, s):
+            v, u, k = _core.tr_div(p, *s, c1._v, c1._u, c1._k)
+            return _core.tr_neg(p, v, u, k)
+
+        weights = (self._v, self._u, self._k)
+        return solve_by_powers(self.ctx, self._t, self.ctx.one() / c1, weights, divide, tail)
 
     # -- analytic operations ------------------------------------------------------
 
-    def evaluate(self, z: PadicNumber, domain: Ball | None = None,
-                 min_precision: int | None = None) -> PadicNumber:
+    def evaluate(self, z: PadicNumber) -> PadicNumber:
         """Sum of the computed terms with a certified absolute error valuation.
 
         The tail bound must dominate at v(z) (slope + v(z) > 0), otherwise the
         truncation is insufficient and a PrecisionError asks for a larger T.
         """
-        if domain is not None and not domain.contains(z):
-            raise ValueError("argument outside the certified domain ball")
         vz = z.valuation_lower_bound
         if self.tail.is_infinite:
             err = None
@@ -450,10 +418,6 @@ class TruncatedSeries:
                     f"tail not dominated at v(z) >= {vz}: raise the truncation order"
                 )
             err = math.ceil(s * (self._t + 1) + self.tail.offset)
-        if min_precision is not None and err is not None and err < min_precision:
-            raise PrecisionError(
-                f"certified error valuation {err} below requested {min_precision}"
-            )
         p = self.ctx.prime
         av, au, ak = self._v[self._t], self._u[self._t], self._k[self._t]
         for i in range(self._t - 1, -1, -1):
@@ -481,7 +445,7 @@ class TruncatedSeries:
             out.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
         return out
 
-    def count_zeros_in_ball(self, radius_valuation) -> ZeroCount:
+    def count_zeros_in_ball(self, radius_valuation: int) -> ZeroCount:
         """Certified count of zeros z with v(z) >= m, multiplicity included.
 
         The count is the abscissa of the hull vertex where slopes first exceed
@@ -490,13 +454,7 @@ class TruncatedSeries:
         vertex: their bounds must stay on or above the ray of slope -m through
         it (strictly above to its right).
         """
-        if isinstance(radius_valuation, Ball):
-            ball = radius_valuation
-            if not ball.center.is_zero_to_precision:
-                raise ValueError("zero counting expects a ball centered at 0")
-            m = ball.radius_valuation
-        else:
-            m = int(radius_valuation)
+        m = radius_valuation
         pts = []
         uncertain = []
         for i in range(self._t + 1):
@@ -544,6 +502,42 @@ class TruncatedSeries:
                         f" (margin {phi} at degree {self._t + 1})"
                     )
         return ZeroCount(n_m, certified, reason)
+
+
+def solve_by_powers(ctx, order, first, weights, divide, tail) -> TruncatedSeries:
+    """Series h = first*X + h_2 X^2 + ... + h_T X^T solved degree by degree.
+
+    For n >= 2, ``h_n = divide(n, s_n)`` with ``s_n = sum_{m>=2} w_m [X^n] h^m``
+    and ``weights = (wv, wu, wk)`` the coefficient arrays of w_0, w_1, ...
+    (only m >= 2 is read).  The powers are carried incrementally,
+    ``[X^n] h^m = sum_{j=1}^{n-m+1} h_j [X^{n-j}] h^(m-1)``, which reads only
+    h_j with j < n, so degree n costs O(M*n) coefficient products for M weights.
+    ``s_n`` is one closed-form ``_core.dot``.  ``tail`` is attached as given.
+    """
+    p = ctx.prime
+    t = order
+    wv, wu, wk = weights
+    top = min(len(wv) - 1, t)  # higher powers of h start above degree t
+    zero_row = lambda: ([INF_BOUND] * (t + 1), [0] * (t + 1), [0] * (t + 1))
+    hv, hu, hk = h = zero_row()
+    # pows[m] holds h**m, filled below degree n while degree n is solved
+    pows = [None, h] + [zero_row() for _ in range(2, top + 1)]
+    if t >= 1:
+        hv[1], hu[1], hk[1] = first._v, first._u, first._k
+    for n in range(2, t + 1):
+        mtop = min(n, top)
+        for m in range(2, mtop + 1):
+            pv, pu, pk = pows[m - 1]
+            qv, qu, qk = pows[m]
+            qv[n], qu[n], qk[n] = _core.conv_at(p, hv, hu, hk, pv, pu, pk, n, 1, n - m + 1)
+        s = _core.dot(
+            p, wv[2:mtop + 1], wu[2:mtop + 1], wk[2:mtop + 1],
+            [pows[m][0][n] for m in range(2, mtop + 1)],
+            [pows[m][1][n] for m in range(2, mtop + 1)],
+            [pows[m][2][n] for m in range(2, mtop + 1)],
+        )
+        hv[n], hu[n], hk[n] = divide(n, s)
+    return TruncatedSeries(ctx, t, hv, hu, hk, tail)
 
 
 def _lower_hull(points):

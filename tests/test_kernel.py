@@ -6,9 +6,9 @@ exact zero.  For random operands, and random exact rationals drawn from their
 balls, the exact result of every kernel operation must lie in the ball of the
 triple the kernel returns.  Every certificate downstream assumes this.
 
-The closed-form convolution behind ``series_mul`` and ``conv_at`` must also
-return exactly the triples of the schoolbook loop kept below, which adds the
-``tr_mul`` products one by one with ``tr_add``.
+The closed-form convolution behind ``series_mul``, ``conv_at`` and ``dot``
+must also return exactly the triples of the schoolbook loops kept below, which
+add the ``tr_mul`` products one by one with ``tr_add``.
 """
 
 import math
@@ -228,6 +228,55 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_series_kernels_match_schoolbook_hypothesis(case):
     assert_kernel_matches_schoolbook(*case)
+
+
+def schoolbook_dot(p, av, au, ak, bv, bu, bk, order=1):
+    """Reference inner product: tr_add fold of the tr_mul terms, ascending
+    (order=1) or descending (order=-1) over the common indices."""
+    v, u, k = INF, 0, 0
+    for i in range(min(len(av), len(bv)))[::order]:
+        wv, wu, wk = arith.tr_mul(p, av[i], au[i], ak[i], bv[i], bu[i], bk[i])
+        v, u, k = arith.tr_add(p, v, u, k, wv, wu, wk)
+    return (v, u, k)
+
+
+def assert_dot_matches_schoolbook(p, a, b):
+    av, au, ak = (list(x) for x in zip(*a)) if a else ([], [], [])
+    bv, bu, bk = (list(x) for x in zip(*b)) if b else ([], [], [])
+    got = _core.dot(p, av, au, ak, bv, bu, bk)
+    assert got == schoolbook_dot(p, av, au, ak, bv, bu, bk), (p, a, b)
+    assert got == schoolbook_dot(p, av, au, ak, bv, bu, bk, order=-1), (p, a, b)
+    assert got == _core.dot(p, bv, bu, bk, av, au, ak), (p, a, b)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_dot_matches_schoolbook(p):
+    rng = random.Random(4000 + p)
+    for _ in range(600):
+        cap = rng.choice([1, 3, 20])
+        a = [random_triple(rng, p, cap) for _ in range(rng.randint(0, 12))]
+        b = [random_triple(rng, p, cap) for _ in range(rng.randint(0, 12))]
+        common = min(len(a), len(b))
+        for _ in range(rng.randint(0, 3) if common >= 2 else 0):
+            i, i2 = rng.sample(range(common), 2)
+            if b[i][1] != 0:
+                a[i2] = a[i]  # a_i2 * b_i2 cancels a_i * b_i to some digits
+                b[i2] = cancelling_partner(rng, p, b[i])
+        assert_dot_matches_schoolbook(p, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(triples(p), max_size=8), st.lists(triples(p), max_size=8))
+))
+def test_dot_matches_schoolbook_hypothesis(case):
+    assert_dot_matches_schoolbook(*case)
+
+
+def test_dot_of_nothing_is_exact_zero():
+    assert _core.dot(3, [], [], [], [0], [1], [5]) == (INF, 0, 0)
+    assert _core.dot(3, [4], [0], [0], [INF], [0], [0]) == (INF, 0, 0)
+    assert _core.dot(3, [4], [0], [0], [-1], [2], [5]) == (3, 0, 0)
 
 
 def test_powers_stay_within_operand_precision():

@@ -1,6 +1,7 @@
 """Koenigs linearization: recursion values, functional equation, radii, isometries."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,10 @@ from padicdyn import (
     mutual_inversion_residual,
     verify_functional_equation,
 )
+from padicdyn import _core
+from padicdyn.linearize import _integrality_defect, inverse_koenigs_coefficients
+from padicdyn.padic import INF_BOUND
+from padicdyn.series import TailBound
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +230,179 @@ class TestConjugationIdentity:
         lhs = lin.log_of(P(z))
         rhs = lin.multiplier * lin.log_of(z)
         assert (lhs - rhs).is_zero_to_precision
+
+
+# -- reference recursions ------------------------------------------------------
+#
+# The hand-rolled loops below are kept as the oracle for the shared solver
+# (``series.solve_by_powers``) and the closed-form sums (``_core.dot``): each
+# carries its own powers and adds the ``tr_mul`` terms one by one with
+# ``tr_add``.  Library and reference must agree triple for triple.
+
+
+def reference_koenigs(G, t):
+    ctx = G.ctx
+    p = ctx.prime
+    a1 = G.coefficients[1]
+    r = G.degree
+    one = ctx.one()
+    ev, eu, ek = [INF_BOUND] * (t + 1), [0] * (t + 1), [0] * (t + 1)
+    if t >= 1:
+        ev[1], eu[1], ek[1] = one._v, one._u, one._k
+    pows = {i: ([INF_BOUND] * (t + 1), [0] * (t + 1), [0] * (t + 1)) for i in range(2, r + 1)}
+    a1pow = a1
+    for n in range(2, t + 1):
+        prev = (ev, eu, ek)
+        for i in range(2, r + 1):
+            pv, pu, pk = pows[i]
+            pv[n], pu[n], pk[n] = _core.conv_at(p, ev, eu, ek, *prev, n, 1, n - i + 1)
+            prev = pows[i]
+        sv, su, sk = INF_BOUND, 0, 0
+        for i in range(2, r + 1):
+            ai = G.coefficients[i]
+            if ai.is_exact_zero:
+                continue
+            pv, pu, pk = pows[i]
+            wv, wu, wk = _core.tr_mul(p, ai._v, ai._u, ai._k, pv[n], pu[n], pk[n])
+            sv, su, sk = _core.tr_add(p, sv, su, sk, wv, wu, wk)
+        unit = a1pow - one
+        v, u, k = _core.tr_div(p, sv, su, sk, a1._v, a1._u, a1._k)
+        ev[n], eu[n], ek[n] = _core.tr_div(p, v, u, k, unit._v, unit._u, unit._k)
+        a1pow = a1pow * a1
+    s = a1.valuation + _integrality_defect(G) + 1
+    return ev, eu, ek, TailBound(Fraction(-s), Fraction(0))
+
+
+def reference_inverse_koenigs(G, t):
+    ctx = G.ctx
+    p = ctx.prime
+    a1 = G.coefficients[1]
+    one = ctx.one()
+    gl = min(G.degree, t) + 1
+    gv = [INF_BOUND] + [c._v for c in G.coefficients[1:gl]]
+    gu = [0] + [c._u for c in G.coefficients[1:gl]]
+    gk = [0] + [c._k for c in G.coefficients[1:gl]]
+    pad = t + 1 - len(gv)
+    gpow = [None, (gv + [INF_BOUND] * pad, gu + [0] * pad, gk + [0] * pad)]
+    for m in range(2, t):
+        gpow.append(_core.series_mul(p, *gpow[m - 1], gv, gu, gk, t))
+    lv, lu, lk = [INF_BOUND] * (t + 1), [0] * (t + 1), [0] * (t + 1)
+    if t >= 1:
+        lv[1], lu[1], lk[1] = one._v, one._u, one._k
+    a1pow = a1
+    for n in range(2, t + 1):
+        sv, su, sk = INF_BOUND, 0, 0
+        for m in range(1, n):
+            if lu[m] == 0 and lv[m] >= INF_BOUND:
+                continue
+            pv, pu, pk = gpow[m]
+            if pu[n] == 0 and pv[n] >= INF_BOUND:
+                continue
+            wv, wu, wk = _core.tr_mul(p, lv[m], lu[m], lk[m], pv[n], pu[n], pk[n])
+            sv, su, sk = _core.tr_add(p, sv, su, sk, wv, wu, wk)
+        unit = a1pow - one
+        v, u, k = _core.tr_div(p, sv, su, sk, a1._v, a1._u, a1._k)
+        v, u, k = _core.tr_div(p, v, u, k, unit._v, unit._u, unit._k)
+        lv[n], lu[n], lk[n] = _core.tr_neg(p, v, u, k)
+        a1pow = a1pow * a1
+    sigma = a1.valuation + _integrality_defect(G)
+    return lv, lu, lk, TailBound(Fraction(-sigma), Fraction(sigma))
+
+
+def reference_reversion(f):
+    """Triples of f's compositional inverse (the tail rule is not repeated here)."""
+    p = f.ctx.prime
+    t = f.order
+    c1 = f.coefficient(1)
+    g1 = f.ctx.one() / c1
+    gpow = [None] + [([INF_BOUND] * (t + 1), [0] * (t + 1), [0] * (t + 1)) for _ in range(t)]
+    gv, gu, gk = gpow[1]
+    gv[1], gu[1], gk[1] = g1._v, g1._u, g1._k
+    for n in range(2, t + 1):
+        for m in range(2, n + 1):
+            v, u, k = _core.conv_at(p, gv, gu, gk, *gpow[m - 1], n, 1, n - m + 1)
+            gpow[m][0][n], gpow[m][1][n], gpow[m][2][n] = v, u, k
+        sv, su, sk = INF_BOUND, 0, 0
+        for m in range(2, n + 1):
+            fv, fu, fk = f._v[m], f._u[m], f._k[m]
+            if fu == 0 and fv >= INF_BOUND:
+                continue
+            pv, pu, pk = gpow[m]
+            wv, wu, wk = _core.tr_mul(p, fv, fu, fk, pv[n], pu[n], pk[n])
+            sv, su, sk = _core.tr_add(p, sv, su, sk, wv, wu, wk)
+        v, u, k = _core.tr_div(p, sv, su, sk, c1._v, c1._u, c1._k) if su != 0 else (sv, su, sk)
+        gv[n], gu[n], gk[n] = _core.tr_neg(p, v, u, k)
+    return gv, gu, gk
+
+
+def random_conjugate(rng, p):
+    """A map fixing 0 with multiplier p^v * unit and mixed higher coefficients:
+    exact zeros, non-integral ones (p in the denominator) and p-adic units."""
+    va1 = rng.randint(1, 2)
+    t = rng.choice([1, 2, rng.randint(3, 24)])
+    ctx = PadicContext(p, t * va1 + 8 + rng.randint(1, 24))
+    unit = rng.randrange(1, p**3)
+    while unit % p == 0:
+        unit = rng.randrange(1, p**3)
+    coeffs = [0, unit * p**va1]
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.2:
+            coeffs.append(ctx.zero())
+        elif kind < 0.5:
+            coeffs.append(ctx.from_rational(rng.randint(1, 50), p ** rng.randint(1, 2)))
+        else:
+            coeffs.append(ctx.from_rational(rng.randint(-50, 50), rng.randint(1, 9)))
+    if not coeffs[-1].is_certified_nonzero:
+        coeffs[-1] = ctx.one()
+    return Polynomial(ctx, coeffs), t
+
+
+def assert_series_is(series, expected):
+    v, u, k, tail = expected
+    assert (series._v, series._u, series._k) == (v, u, k)
+    assert series.tail == tail
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_recursions_match_reference_loops(p):
+    rng = random.Random(8000 + p)
+    for _ in range(25):
+        G, t = random_conjugate(rng, p)
+        e = koenigs_coefficients(G, t)
+        lg = inverse_koenigs_coefficients(G, t)
+        assert_series_is(e, reference_koenigs(G, t))
+        assert_series_is(lg, reference_inverse_koenigs(G, t))
+        for f in (e, lg):
+            g = f.reversion()
+            assert (g._v, g._u, g._k) == reference_reversion(f)
+
+
+def test_recursions_match_reference_at_order_1_and_non_integral_a2(c3):
+    G = Polynomial(c3, [0, 3, c3.from_rational(2, 9), 1])
+    for t in (0, 1, 2, 12):
+        assert_series_is(koenigs_coefficients(G, t), reference_koenigs(G, t))
+        assert_series_is(inverse_koenigs_coefficients(G, t), reference_inverse_koenigs(G, t))
+    e = koenigs_coefficients(G, 1)
+    g = e.reversion()
+    assert (e._v, e._u, e._k) == ([INF_BOUND, 0], [0, 1], [0, 64])
+    assert (g._v, g._u, g._k) == ([INF_BOUND, 0], [0, 1], [0, 64])
+
+
+def test_reversion_matches_reference_with_inexact_coefficients(c3):
+    rng = random.Random(83)
+    for _ in range(40):
+        t = rng.randint(1, 14)
+        coeffs = [c3.zero(rng.randint(1, 30))]
+        coeffs.append(c3.from_rational(rng.choice([1, 2, 4, 5]), rng.choice([1, 2, 7])))
+        for _ in range(2, t + 1):
+            kind = rng.random()
+            if kind < 0.2:
+                coeffs.append(c3.zero())
+            elif kind < 0.4:
+                coeffs.append(c3.zero(rng.randint(-3, 20)))
+            else:
+                coeffs.append(c3.from_rational(rng.randint(-90, 90), 3 ** rng.randint(0, 2)))
+        f = TruncatedSeries.from_coefficients(c3, coeffs, order=t)
+        g = f.reversion()
+        assert (g._v, g._u, g._k) == reference_reversion(f)

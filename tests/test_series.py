@@ -34,6 +34,16 @@ def random_series(ctx, rng, order, zero_constant=False, unit_linear=False):
 
 
 class TestRingOps:
+    def test_product_tail_rule(self, ctx):
+        x2 = TruncatedSeries.from_coefficients(ctx, [0, 0, 1], order=5)
+        x3 = TruncatedSeries.from_coefficients(ctx, [0, 0, 0, 1], order=5)
+        assert (x2 * x3).tail == ZERO_TAIL  # degree 5 fits order 5
+        assert (x2.truncate(4) * x3.truncate(4)).tail == TailBound(Fraction(0), Fraction(0))
+        tail = TailBound(Fraction(-1), Fraction(3))
+        dark = TruncatedSeries.from_coefficients(ctx, [0], order=5, tail=tail)  # only a tail
+        assert (TruncatedSeries.zero(ctx, 5) * dark).tail == ZERO_TAIL
+        assert (x2 * dark).tail == tail
+
     def test_add_zero(self, ctx):
         f = TruncatedSeries.from_coefficients(ctx, [1, 2, 3], order=8)
         assert series_equal_to_precision(f + TruncatedSeries.zero(ctx, 8), f)
@@ -284,16 +294,6 @@ class TestEvaluate:
         )
         with pytest.raises(PrecisionError):
             f.evaluate(ctx.integer(9))  # v(z)=2 does not beat slope -2
-
-    def test_min_precision_target(self, ctx):
-        t = 6
-        f = TruncatedSeries.from_coefficients(
-            ctx, [0, 1], order=t, tail=TailBound(Fraction(-2), Fraction(0))
-        )
-        z = ctx.integer(27)  # error floor (slope+3)*(t+1) = 7
-        assert f.evaluate(z, min_precision=7).is_certified_nonzero
-        with pytest.raises(PrecisionError):
-            f.evaluate(z, min_precision=8)
 
     def test_tail_honesty_of_product(self, ctx):
         # multiply at low order, compare against the full product: every dropped

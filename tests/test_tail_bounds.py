@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicdyn import Ball, PadicContext, Polynomial, TruncatedSeries, linearize
+from padicdyn import PadicContext, Polynomial, TruncatedSeries, linearize
 from padicdyn.linearize import inverse_koenigs_coefficients, koenigs_coefficients
 
 
@@ -80,7 +80,7 @@ def test_reciprocal_tail_covers_true_coefficients(ctx):
 
 def test_count_zeros_accepts_ball(ctx):
     f = TruncatedSeries.constant(ctx, 3, 6) - TruncatedSeries.variable(ctx, 6)
-    zc = f.count_zeros_in_ball(Ball(ctx.zero(), 1))
+    zc = f.count_zeros_in_ball(1)
     assert (zc.count, zc.certified) == (1, True)
 
 
