@@ -1,4 +1,5 @@
-"""Pure-Python coefficient kernels, built on CPython's big-integer arithmetic.
+"""The coefficient kernel: exact arithmetic on (valuation, unit, precision)
+triples, in pure Python on CPython's big-integer arithmetic.
 
 A coefficient is a triple ``(v, u, k)`` over a fixed prime ``p``:
 
@@ -18,8 +19,15 @@ precision ``A`` is the least absolute precision of its terms, and its value is
 the exact sum of the products reduced modulo ``p**A``.  Adding the terms one
 by one with ``tr_add`` gives the same triple in any order, so ``series_mul``,
 ``conv_at`` and ``dot`` compute the closed form directly.
+
+Callers look the public functions up as ``_core.<name>`` at call time, so a
+wrapper installed on this module (``checkbench/tracing.py``) sees every call
+from outside the kernel.  It sees none of the kernel's own inner calls because
+no public function calls another: ``series_mul``, ``conv_at`` and ``dot`` call
+the private ``_conv``, and the ``tr_*`` functions call ``_ppow``.
 """
 
+BACKEND = "pure"
 INF_BOUND = 1 << 40
 
 _POW_CACHE = {}

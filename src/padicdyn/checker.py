@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from .errors import PrecisionError, ValidationError
 from .padic import PadicContext, PadicNumber
-from .multipoly import MultivariatePoly
 from .linearize import linearize
 from .series import TruncatedSeries
 
@@ -36,6 +35,11 @@ _QP_NOTE = (
 _BOUND_NOTE = (
     "zero-count bounds count zeros of F in the whole orbit ball, which may"
     " exceed the number of orbit hits"
+)
+_DEGENERATE_NOTE = (
+    "degenerate instance: every start coordinate equals its fixed point,"
+    " so the orbit is a single point and the analysis is one membership"
+    " test"
 )
 _CANDIDATE_NOTE = (
     "invariant-subvariety candidate is asserted only to working precision"
@@ -235,20 +239,20 @@ def compute_lambdas(validated: ValidatedSystem):
     return perm, lambdas
 
 
-def build_F(validated: ValidatedSystem, f: MultivariatePoly,
-            lead: int, lambdas: list) -> TruncatedSeries:
-    """Pullback of a generator to a series in w = u - alpha_lead:
+def build_F(validated: ValidatedSystem, lead: int, lambdas: list) -> list:
+    """Pullback of every generator of the variety, in order, to a series in
+    w = u - alpha_lead:
 
         F(w) = f(..., alpha_i + E_i(lambda_i * L_lead(w)), ...)
 
     with the lead coordinate substituted as alpha_lead + w.  Along the orbit,
-    w = P_lead^n(x_lead) - alpha_lead reproduces f at the orbit point.
+    w = P_lead^n(x_lead) - alpha_lead reproduces f at the orbit point.  The
+    coordinate series depend only on the orbit, so they are built once.
     """
     spec = validated.spec
     ctx = spec.ctx
     t = spec.truncation
-    lead_lin = validated.linearizations[lead]
-    log_lead = lead_lin.log_series
+    log_lead = validated.linearizations[lead].log_series
     coords = []
     for i, lin in enumerate(validated.linearizations):
         alpha = lin.fixed_point
@@ -259,48 +263,7 @@ def build_F(validated: ValidatedSystem, f: MultivariatePoly,
         else:
             inner = log_lead.scale(lambdas[i])
             coords.append(lin.exp_series.compose(inner) + alpha)
-    return f.evaluate_series(coords, t)
-
-
-def _degenerate_report(validated: ValidatedSystem, n_max: int) -> AnalysisReport:
-    spec = validated.spec
-    point = validated.advanced_start
-    members = [f.evaluate(point).is_zero_to_precision for f in spec.variety]
-    on_variety = all(members)
-    hits = list(range(n_max + 1)) if on_variety else []
-    gens = [
-        GeneratorReport(
-            index=j + 1,
-            kind="zero_to_precision" if members[j] else "finite",
-            zero_count=None,
-            count_certified=None,
-            newton_polygon=None,
-            detail="evaluated at the fixed orbit point",
-        )
-        for j in range(len(spec.variety))
-    ]
-    notes = [
-        _QP_NOTE,
-        "degenerate instance: every start coordinate equals its fixed point,"
-        " so the orbit is a single point and the analysis is one membership"
-        " test",
-    ]
-    return AnalysisReport(
-        verdict="finite",
-        bound=1 if on_variety else 0,
-        bound_certified=True,
-        complete=True,
-        direct_hits=hits,
-        n0=0,
-        reindexing=list(range(len(spec.maps))),
-        lambdas=[],
-        multiplier=validated.multiplier,
-        isometry_radii=[lin.isometry_radius_valuation for lin in validated.linearizations],
-        count_ball_valuation=None,
-        degenerate=True,
-        generators=gens,
-        notes=notes,
-    )
+    return [f.evaluate_series(coords, t) for f in spec.variety]
 
 
 def analyze(spec: SystemSpec) -> AnalysisReport:
@@ -311,72 +274,81 @@ def analyze(spec: SystemSpec) -> AnalysisReport:
     """
     validated = validate(spec)
     n_max = spec.max_direct_iterations
-    if validated.degenerate:
-        return _degenerate_report(validated, n_max)
-
-    scan_error = None
-    try:
-        hits = direct_orbit_scan(validated, n_max)
-    except PrecisionError as exc:
-        scan_error = exc
-        hits = []
-
-    perm, lambdas = compute_lambdas(validated)
-    lead = perm[0]
-    d_lead = validated.advanced_start[lead] - validated.linearizations[lead].fixed_point
-    m_count = d_lead.valuation
-    radii = [lin.isometry_radius_valuation for lin in validated.linearizations]
-
-    gens = []
-    finite_counts = []
-    all_zero = True
-    inconclusive_details = []
-    for j, f in enumerate(spec.variety):
-        F = build_F(validated, f, lead, lambdas)
-        if F.is_certified_zero_through_order():
-            gens.append(
-                GeneratorReport(index=j + 1, kind="zero_to_precision",
-                                detail="F vanishes to precision through the truncation order")
-            )
-            continue
-        all_zero = False
-        zc = F.count_zeros_in_ball(m_count)
-        np_data = [(str(s), int(l)) for s, l in F.newton_polygon()]
-        gens.append(
-            GeneratorReport(
-                index=j + 1,
-                kind="finite",
-                zero_count=zc.count,
-                count_certified=zc.certified,
-                newton_polygon=np_data,
-                detail=zc.reason,
-            )
-        )
-        if zc.certified:
-            finite_counts.append(zc.count)
-        else:
-            inconclusive_details.append(f"generator {j + 1}: {zc.reason}")
-
-    notes = [_QP_NOTE, _BOUND_NOTE]
     verdict, bound, complete, detail = "inconclusive", None, None, None
-    if scan_error is not None:
-        detail = str(scan_error)
-    elif all_zero:
-        verdict = "invariant_candidate"
-        notes.append(_CANDIDATE_NOTE)
-    elif not finite_counts:
-        detail = "; ".join(inconclusive_details) or "no certified zero count"
-    else:
-        count = min(finite_counts)
-        late_hits = [n for n in hits if n >= validated.n0]
-        if len(late_hits) > count:
-            detail = (
-                f"{len(late_hits)} precision-level hits at indices >= n0 exceed"
-                f" the certified zero count {count}: raise the working"
-                " precision to separate true hits from precision artifacts"
+    gens = []
+    if validated.degenerate:
+        # the orbit is one point: membership decides every index at once
+        members = [f.evaluate(validated.advanced_start).is_zero_to_precision for f in spec.variety]
+        on_variety = all(members)
+        hits = list(range(n_max + 1)) if on_variety else []
+        for j, member in enumerate(members):
+            gens.append(
+                GeneratorReport(index=j + 1, kind="zero_to_precision" if member else "finite",
+                                detail="evaluated at the fixed orbit point")
             )
+        notes = [_QP_NOTE, _DEGENERATE_NOTE]
+        verdict, bound, complete = "finite", 1 if on_variety else 0, True
+        perm, lambdas, m_count = list(range(len(spec.maps))), [], None
+    else:
+        scan_error = None
+        try:
+            hits = direct_orbit_scan(validated, n_max)
+        except PrecisionError as exc:
+            scan_error = exc
+            hits = []
+
+        perm, lambdas = compute_lambdas(validated)
+        lead = perm[0]
+        d_lead = validated.advanced_start[lead] - validated.linearizations[lead].fixed_point
+        m_count = d_lead.valuation
+
+        finite_counts = []
+        all_zero = True
+        inconclusive_details = []
+        for j, F in enumerate(build_F(validated, lead, lambdas)):
+            if F.is_certified_zero_through_order():
+                gens.append(
+                    GeneratorReport(index=j + 1, kind="zero_to_precision",
+                                    detail="F vanishes to precision through the truncation order")
+                )
+                continue
+            all_zero = False
+            zc = F.count_zeros_in_ball(m_count)
+            np_data = [(str(s), int(l)) for s, l in F.newton_polygon()]
+            gens.append(
+                GeneratorReport(
+                    index=j + 1,
+                    kind="finite",
+                    zero_count=zc.count,
+                    count_certified=zc.certified,
+                    newton_polygon=np_data,
+                    detail=zc.reason,
+                )
+            )
+            if zc.certified:
+                finite_counts.append(zc.count)
+            else:
+                inconclusive_details.append(f"generator {j + 1}: {zc.reason}")
+
+        notes = [_QP_NOTE, _BOUND_NOTE]
+        if scan_error is not None:
+            detail = str(scan_error)
+        elif all_zero:
+            verdict = "invariant_candidate"
+            notes.append(_CANDIDATE_NOTE)
+        elif not finite_counts:
+            detail = "; ".join(inconclusive_details) or "no certified zero count"
         else:
-            verdict, bound, complete = "finite", count, len(late_hits) >= count
+            count = min(finite_counts)
+            late_hits = [n for n in hits if n >= validated.n0]
+            if len(late_hits) > count:
+                detail = (
+                    f"{len(late_hits)} precision-level hits at indices >= n0 exceed"
+                    f" the certified zero count {count}: raise the working"
+                    " precision to separate true hits from precision artifacts"
+                )
+            else:
+                verdict, bound, complete = "finite", count, len(late_hits) >= count
     return AnalysisReport(
         verdict=verdict,
         bound=bound,
@@ -387,9 +359,9 @@ def analyze(spec: SystemSpec) -> AnalysisReport:
         reindexing=perm,
         lambdas=lambdas,
         multiplier=validated.multiplier,
-        isometry_radii=radii,
+        isometry_radii=[lin.isometry_radius_valuation for lin in validated.linearizations],
         count_ball_valuation=m_count,
-        degenerate=False,
+        degenerate=validated.degenerate,
         generators=gens,
         notes=notes,
         detail=detail,

@@ -38,8 +38,14 @@ def _fmt_padic(x) -> str:
 
 
 def _load(args):
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(args.file, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{args.file}: not UTF-8 text: invalid byte at offset {exc.start}"
+        ) from exc
     return load_problem(
         text,
         path=args.file,

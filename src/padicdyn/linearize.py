@@ -20,11 +20,9 @@ division after factoring out a1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import floor
 
 from . import _core
-from .errors import PrecisionError, ValidationError
+from .errors import ValidationError
 from .padic import Ball, INF_BOUND, PadicNumber
 from .series import TailBound, TruncatedSeries, solve_by_powers
 from .dynamics import Polynomial, contraction_radius
@@ -114,7 +112,7 @@ def koenigs_coefficients(G: Polynomial, order: int) -> TruncatedSeries:
     coeffs = G.coefficients
     weights = ([c._v for c in coeffs], [c._u for c in coeffs], [c._k for c in coeffs])
     s = a1.valuation + _integrality_defect(G) + 1
-    tail = TailBound(Fraction(-s), Fraction(0))
+    tail = TailBound(-s, 0)
     return solve_by_powers(G.ctx, order, G.ctx.one(), weights, _koenigs_divisor(a1, order), tail)
 
 
@@ -159,7 +157,7 @@ def inverse_koenigs_coefficients(G: Polynomial, order: int) -> TruncatedSeries:
         )
         lv[n], lu[n], lk[n] = _core.tr_neg(p, *divide(n, s))
     sigma = a1.valuation + _integrality_defect(G)
-    return TruncatedSeries(ctx, t, lv, lu, lk, TailBound(Fraction(-sigma), Fraction(sigma)))
+    return TruncatedSeries(ctx, t, lv, lu, lk, TailBound(-sigma, sigma))
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -181,26 +179,15 @@ class Linearization:
 
     def log_of(self, z: PadicNumber) -> PadicNumber:
         """L(z - alpha); requires z in the isometry ball."""
-        d = z - self.fixed_point
-        self._require_in_ball(d)
-        return self.log_series.evaluate(d)
+        if not self.isometry_ball.contains(z):
+            raise ValidationError("argument outside the isometry ball")
+        return self.log_series.evaluate(z - self.fixed_point)
 
     def exp_of(self, w: PadicNumber) -> PadicNumber:
         """alpha + E(w); requires v(w) >= the isometry radius."""
-        self._require_in_ball(w)
+        if not Ball(w.ctx.zero(), self.isometry_radius_valuation).contains(w):
+            raise ValidationError("argument outside the isometry ball")
         return self.fixed_point + self.exp_series.evaluate(w)
-
-    def _require_in_ball(self, d: PadicNumber):
-        m0 = self.isometry_radius_valuation
-        if d.is_certified_nonzero:
-            if d.valuation < m0:
-                raise ValidationError(
-                    f"argument outside the isometry ball: v = {d.valuation} < {m0}"
-                )
-        elif d.zero_bound < m0:
-            raise PrecisionError(
-                f"ball membership undecidable: v >= {d.zero_bound} < {m0}"
-            )
 
     def __repr__(self):
         return (
@@ -225,18 +212,18 @@ def isometry_radius(exp_series: TruncatedSeries, G: Polynomial) -> int:
         if c.is_exact_zero:
             continue
         lb = c.valuation_lower_bound
-        need = floor(Fraction(-lb, n - 1)) + 1
+        need = -lb // (n - 1) + 1
         if need > m0:
             m0 = need
     tail = exp_series.tail
     if not tail.is_infinite:
         t = exp_series.order
         # smallest m with (m + slope)*n + (offset - m) > 0 for all n > t
-        need = floor(Fraction(-tail.slope * (t + 1) - tail.offset, t)) + 1
+        need = (-tail.slope * (t + 1) - tail.offset) // t + 1
         if need > m0:
             m0 = need
         if m0 + tail.slope <= 0:
-            m0 = floor(-tail.slope) + 1
+            m0 = -tail.slope // 1 + 1
     return max(m0, contraction_radius(G.coefficients, G.coefficients[1].valuation))
 
 

@@ -30,11 +30,12 @@ _INF = math.inf
 class TailBound:
     """Affine lower bound slope*n + offset on v(c_n) for all n > T.
 
-    ``offset = inf`` means the tail is identically zero (a polynomial).
+    ``offset = inf`` means the tail is identically zero (a polynomial).  Every
+    bound built here is integral; any exact rationals work as well.
     """
 
-    slope: Fraction
-    offset: Fraction | float
+    slope: int
+    offset: int | float
 
     @property
     def is_infinite(self) -> bool:
@@ -46,7 +47,7 @@ class TailBound:
         return self.slope * n + self.offset
 
 
-ZERO_TAIL = TailBound(Fraction(0), _INF)
+ZERO_TAIL = TailBound(0, _INF)
 
 
 @dataclass(frozen=True)
@@ -133,13 +134,6 @@ class TruncatedSeries:
         """Every computed coefficient vanishes to its carried precision."""
         return all(u == 0 for u in self._u)
 
-    def _effective_length(self) -> int:
-        """Array length after dropping trailing exact zeros (min 1)."""
-        n = self._t + 1
-        while n > 1 and self._u[n - 1] == 0 and self._v[n - 1] >= INF_BOUND:
-            n -= 1
-        return n
-
     def __repr__(self):
         head = ", ".join(repr(self.coefficient(i)) for i in range(min(3, self._t + 1)))
         return f"TruncatedSeries(T={self._t}, [{head}, ...])"
@@ -153,7 +147,7 @@ class TruncatedSeries:
         bound beyond T.  offset may be inf (series is zero from `start` on).
         """
         if self.tail.is_infinite:
-            slope = Fraction(0)
+            slope = 0
             offset = _INF
         else:
             slope = self.tail.slope
@@ -161,7 +155,7 @@ class TruncatedSeries:
         for i in range(start, self._t + 1):
             if self._u[i] == 0 and self._v[i] >= INF_BOUND:
                 continue
-            cand = Fraction(self._v[i]) - slope * i
+            cand = self._v[i] - slope * i
             if cand < offset:
                 offset = cand
         return slope, offset
@@ -247,12 +241,12 @@ class TruncatedSeries:
             tail = TailBound(self.tail.slope, self.tail.offset + scalar.valuation_lower_bound)
         return TruncatedSeries(self.ctx, self._t, vals, units, precs, tail)
 
-    def _degree_bound(self):
-        """Largest index with a not-exactly-zero coefficient, or None."""
-        for i in range(self._t, -1, -1):
-            if not (self._u[i] == 0 and self._v[i] >= INF_BOUND):
-                return i
-        return None
+    def _degree_bound(self) -> int:
+        """Largest index with a not-exactly-zero coefficient (0 for the zero series)."""
+        i = self._t
+        while i > 0 and self._u[i] == 0 and self._v[i] >= INF_BOUND:
+            i -= 1
+        return i
 
     def __mul__(self, other):
         if isinstance(other, (PadicNumber, int)):
@@ -260,14 +254,13 @@ class TruncatedSeries:
         self._check_compatible(other)
         t = min(self._t, other._t)
         a, b = self.truncate(t), other.truncate(t)
-        na = a._effective_length()
-        nb = b._effective_length()
+        da = a._degree_bound()
+        db = b._degree_bound()
         vals, units, precs = _core.series_mul(
-            self.ctx.prime, a._v[:na], a._u[:na], a._k[:na], b._v[:nb], b._u[:nb], b._k[:nb], t
+            self.ctx.prime, a._v[:da + 1], a._u[:da + 1], a._k[:da + 1],
+            b._v[:db + 1], b._u[:db + 1], b._k[:db + 1], t
         )
-        if a.tail.is_infinite and b.tail.is_infinite and (
-            (a._degree_bound() or 0) + (b._degree_bound() or 0) <= t  # None: a zero factor
-        ):
+        if a.tail.is_infinite and b.tail.is_infinite and da + db <= t:
             tail = ZERO_TAIL  # a product of polynomials that nothing truncated
         else:
             sa, oa = a._envelope(0)
@@ -293,13 +286,14 @@ class TruncatedSeries:
         t = min(self._t, inner._t)
         inner_t = inner.truncate(t)
         p = self.ctx.prime
-        n_in = inner_t._effective_length()
-        iv, iu, ik = inner_t._v[:n_in], inner_t._u[:n_in], inner_t._k[:n_in]
+        d_inner = inner_t._degree_bound()
+        iv, iu, ik = inner_t._v[:d_inner + 1], inner_t._u[:d_inner + 1], inner_t._k[:d_inner + 1]
         # Horner on coefficient arrays, highest coefficient first.  With an
         # exactly-zero inner constant the accumulator at step i reaches only
         # degrees <= t - i of the result, and outer coefficients above t meet
-        # only exact zeros; otherwise every step keeps all t + 1 degrees.
-        top = min(self._t, t) if inner_c0_exact_zero else self._t
+        # only exact zeros; otherwise every step keeps all t + 1 degrees.  The
+        # last step leaves t + 1 coefficients, and when no step runs t is 0.
+        top = t if inner_c0_exact_zero else self._t
         vals, units, precs = [self._v[top]], [self._u[top]], [self._k[top]]
         for i in range(top - 1, -1, -1):
             deg = t - i if inner_c0_exact_zero else t
@@ -309,24 +303,14 @@ class TruncatedSeries:
             vals[0], units[0], precs[0] = _core.tr_add(
                 p, vals[0], units[0], precs[0], self._v[i], self._u[i], self._k[i]
             )
-        pad = t + 1 - len(vals)  # no Horner step ran: a constant outer, or t == 0
-        if pad > 0:
-            vals += [INF_BOUND] * pad
-            units += [0] * pad
-            precs += [0] * pad
         # Tail of the true composition from the envelopes.
         s_in, b_in = inner_t._envelope(1 if inner_c0_exact_zero else 0)
         s_o, b_o = self._envelope(1)
         d_self = self._degree_bound()
-        d_inner = inner_t._degree_bound()
         if b_o == _INF or b_in == _INF:
             # outer constant, or inner identically zero: composition is exact
             tail = ZERO_TAIL
-        elif (
-            self.tail.is_infinite
-            and inner_t.tail.is_infinite
-            and d_self * (d_inner or 0) <= t
-        ):
+        elif self.tail.is_infinite and inner_t.tail.is_infinite and d_self * d_inner <= t:
             tail = ZERO_TAIL  # polynomial composed with polynomial, nothing truncated
         else:
             s = s_o + b_in
@@ -364,8 +348,8 @@ class TruncatedSeries:
         if b_f == _INF:
             tail = ZERO_TAIL  # reciprocal of a constant is exact
         else:
-            e = max(Fraction(0), Fraction(v0) - b_f)
-            tail = TailBound(s_f - e, Fraction(-v0))
+            e = max(0, v0 - b_f)
+            tail = TailBound(s_f - e, -v0)
         return TruncatedSeries(self.ctx, t, gv, gu, gk, tail)
 
     def reversion(self) -> "TruncatedSeries":
@@ -467,7 +451,7 @@ class TruncatedSeries:
         hull = _lower_hull(pts)
         n_m, y_m = hull[0]
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if Fraction(y2 - y1, x2 - x1) <= -m:
+            if y2 - y1 <= -m * (x2 - x1):  # slope <= -m, as x2 > x1
                 n_m, y_m = x2, y2
             else:
                 break

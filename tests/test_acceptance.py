@@ -184,8 +184,7 @@ def test_criterion_06_oracle_equivalence(corpus_with_reports):
         lead = perm[0]
         lead_map = spec.maps[lead]
         alpha = v.linearizations[lead].fixed_point
-        for f in spec.variety:
-            F = build_F(v, f, lead, lams)
+        for F in build_F(v, lead, lams):
             z = v.advanced_start[lead]
             for n in range(v.n0, 101):
                 val = F.evaluate(z - alpha)

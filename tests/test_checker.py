@@ -136,7 +136,7 @@ class TestBuildF:
         spec = make_spec(ctx, P, [ctx.integer(9), ctx.integer(9)], [diag_generator(ctx)])
         v = validate(spec)
         perm, lams = compute_lambdas(v)
-        F = build_F(v, spec.variety[0], perm[0], lams)
+        F = build_F(v, perm[0], lams)[0]
         assert F.is_certified_zero_through_order()
 
     def test_projection_generator(self, ctx, P):
@@ -145,7 +145,7 @@ class TestBuildF:
         spec = make_spec(ctx, P, [ctx.integer(9), ctx.integer(9)], [gen])
         v = validate(spec)
         perm, lams = compute_lambdas(v)
-        F = build_F(v, gen, perm[0], lams)
+        F = build_F(v, perm[0], lams)[0]
         assert F.coefficient(0).is_zero_to_precision
         assert (F.coefficient(1) - ctx.one()).is_zero_to_precision
 
@@ -157,7 +157,7 @@ class TestBuildF:
                           [ctx.integer(3), ctx.integer(9)], [gen], 32, 40)
         v = validate(spec)
         perm, lams = compute_lambdas(v)
-        F = build_F(v, gen, perm[0], lams)
+        F = build_F(v, perm[0], lams)[0]
         lead = perm[0]
         alpha = v.linearizations[lead].fixed_point
         pts = list(v.advanced_start)
@@ -202,6 +202,17 @@ class TestAnalyze:
         spec2 = make_spec(ctx, P, [ctx.zero(), ctx.zero()], [gen_off], n_max=12)
         r2 = analyze(spec2)
         assert r2.bound == 0 and r2.direct_hits == []
+
+    def test_coordinate_at_its_fixed_point(self, ctx, P):
+        # x2 starts at its fixed point: lambda_2 is exactly 0, so build_F
+        # substitutes the constant alpha_2 and F = x2 vanishes identically
+        gen = MultivariatePoly(ctx, 2, {(0, 1): 1})
+        spec = make_spec(ctx, P, [ctx.integer(9), ctx.zero()], [gen], n_max=30)
+        v = validate(spec)
+        assert compute_lambdas(v)[1][1].is_exact_zero
+        r = analyze(spec)
+        assert r.verdict == "invariant_candidate"
+        assert r.direct_hits == direct_orbit_scan(v, 30) == list(range(31))
 
     def test_reindexing_invariance(self, ctx, P):
         P2 = Polynomial(ctx, [0, 3, 2, 1])

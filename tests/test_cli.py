@@ -84,6 +84,18 @@ class TestCheck:
         assert main(["check", str(path)]) == 3
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, offset", [
+        (b'\xff\xfe{"prime": 3}', 0),
+        (b'{"prime": 3, "name": "\xe9t\xe9"}', 22),
+    ])
+    def test_non_utf8_file_exit_3(self, tmp_path, capsys, data, offset):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text: invalid byte at offset {offset}\n"
+
     def test_missing_field_diagnostic(self, tmp_path, capsys):
         doc = dict(DIAG)
         del doc["start"]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import padicdyn
 from padicdyn import _core
-from padicdyn._core import arith
+from padicdyn import _core as arith
 
 INF = _core.INF_BOUND
 PRIMES = [2, 3, 5, 7]

@@ -213,6 +213,18 @@ class TestComposeMatchesFullHorner:
             assert_compose_matches_reference(outer, inner)
             assert_compose_matches_reference(outer, inner.truncate(3))
 
+    def test_no_horner_step(self, ctx):
+        # an outer of order 0, or truncation 0: no Horner step runs and t is 0
+        rng = random.Random(61)
+        tail = TailBound(Fraction(1), Fraction(-2))
+        inner = random_series(ctx, rng, 5, zero_constant=True)
+        for outer in (TruncatedSeries.constant(ctx, 7, 0),
+                      TruncatedSeries.from_coefficients(ctx, [7], tail=tail)):
+            assert_compose_matches_reference(outer, inner)
+        outer = random_series(ctx, rng, 4)
+        outer = TruncatedSeries(ctx, 4, outer._v, outer._u, outer._k, tail)
+        assert_compose_matches_reference(outer, TruncatedSeries.zero(ctx, 0))
+
 
 class TestReversion:
     def test_reversion_of_x(self, ctx):
