@@ -24,7 +24,13 @@ Callers look the public functions up as ``_core.<name>`` at call time, so a
 wrapper installed on this module (``checkbench/tracing.py``) sees every call
 from outside the kernel.  It sees none of the kernel's own inner calls because
 no public function calls another: ``series_mul``, ``conv_at`` and ``dot`` call
-the private ``_conv``, and the ``tr_*`` functions call ``_ppow``.
+the private ``_conv``, and the ``tr_*`` functions call ``_ppow``.  Besides the
+``PadicNumber`` operators and the series code, the direct orbit scan's scalar
+work calls the ``tr_*`` functions directly: ``Polynomial.__call__``
+(``dynamics``), ``MultivariatePoly.evaluate`` (``multipoly``, with
+``padic.triple_pow`` for its powers) and the collapse test of
+``checker.direct_orbit_scan``.  The traced counts include every one of those
+calls.
 """
 
 BACKEND = "pure"

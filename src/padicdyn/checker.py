@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import _core
 from .errors import PrecisionError, ValidationError
 from .padic import PadicContext, PadicNumber
 from .linearize import linearize
@@ -178,16 +179,20 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     spec = validated.spec
     if n_max is None:
         n_max = spec.max_direct_iterations
+    p = spec.ctx.prime
+    # z - alpha is z + (-alpha): negate each fixed point once, then the
+    # collapse test is one tr_add per coordinate per step
+    neg_alphas = [_core.tr_neg(p, a._v, a._u, a._k) for a in spec.fixed_points]
     cur = list(spec.start)
     resolved = [
-        (x - a).is_certified_nonzero for x, a in zip(spec.start, spec.fixed_points)
+        _core.tr_add(p, x._v, x._u, x._k, *na)[1] != 0 for x, na in zip(cur, neg_alphas)
     ]
     hits = []
     for n in range(n_max + 1):
         if n > 0:
             cur = [P(z) for P, z in zip(spec.maps, cur)]
-        for i, (z, alpha) in enumerate(zip(cur, spec.fixed_points)):
-            if resolved[i] and not (z - alpha).is_certified_nonzero:
+        for i, (z, na) in enumerate(zip(cur, neg_alphas)):
+            if resolved[i] and _core.tr_add(p, z._v, z._u, z._k, *na)[1] == 0:
                 exc = PrecisionError(
                     f"orbit coordinate {i + 1} collapsed below working precision"
                     f" at index {n}: raise the precision to scan further"

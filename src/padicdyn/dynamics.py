@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _core
 from .errors import ValidationError
 from .padic import PadicContext, PadicNumber
 
@@ -46,10 +47,20 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, z: PadicNumber) -> PadicNumber:
-        acc = self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * z + c
-        return acc
+        """Horner's rule on (v, u, k) triples: acc = acc*z + c, from the top."""
+        coeffs = self.coefficients
+        acc = coeffs[-1]
+        z = acc._coerce(z)
+        if z is None:
+            raise TypeError("a polynomial is evaluated at a PadicNumber or an int")
+        p = self.ctx.prime
+        zv, zu, zk = z._v, z._u, z._k
+        v, u, k = acc._v, acc._u, acc._k
+        for i in range(len(coeffs) - 2, -1, -1):
+            c = coeffs[i]
+            v, u, k = _core.tr_mul(p, v, u, k, zv, zu, zk)
+            v, u, k = _core.tr_add(p, v, u, k, c._v, c._u, c._k)
+        return PadicNumber(self.ctx, v, u, k)
 
     def derivative(self) -> "Polynomial":
         return Polynomial(

@@ -179,9 +179,10 @@ class Linearization:
 
     def log_of(self, z: PadicNumber) -> PadicNumber:
         """L(z - alpha); requires z in the isometry ball."""
-        if not self.isometry_ball.contains(z):
+        d = z - self.fixed_point
+        if not Ball(d.ctx.zero(), self.isometry_radius_valuation).contains(d):
             raise ValidationError("argument outside the isometry ball")
-        return self.log_series.evaluate(z - self.fixed_point)
+        return self.log_series.evaluate(d)
 
     def exp_of(self, w: PadicNumber) -> PadicNumber:
         """alpha + E(w); requires v(w) >= the isometry radius."""

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .padic import PadicContext, PadicNumber
+from . import _core
+from .padic import PadicContext, PadicNumber, triple_pow
 from .series import TruncatedSeries
 
 
@@ -41,17 +42,30 @@ class MultivariatePoly:
         return f"MultivariatePoly(nvars={self.nvars}, {len(self.terms)} terms)"
 
     def evaluate(self, point) -> PadicNumber:
-        """Value at a tuple of g scalars."""
+        """Value at a tuple of g scalars (PadicNumbers or ints).
+
+        Runs on (v, u, k) triples: each term is its coefficient times the
+        powers in variable order, added to the sum in term order.
+        """
         if len(point) != self.nvars:
             raise ValueError("point has wrong arity")
-        acc = self.ctx.zero()
+        zero = self.ctx.zero()
+        xs = []
+        for x in point:
+            x = zero._coerce(x)
+            if x is None:
+                raise TypeError("a generator is evaluated at PadicNumbers or ints")
+            xs.append((x._v, x._u, x._k))
+        p = self.ctx.prime
+        av, au, ak = zero._v, zero._u, zero._k
         for expo, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, expo):
+            tv, tu, tk = coeff._v, coeff._u, coeff._k
+            for (xv, xu, xk), e in zip(xs, expo):
                 if e:
-                    term = term * x**e
-            acc = acc + term
-        return acc
+                    xv, xu, xk = triple_pow(p, xv, xu, xk, e)
+                    tv, tu, tk = _core.tr_mul(p, tv, tu, tk, xv, xu, xk)
+            av, au, ak = _core.tr_add(p, av, au, ak, tv, tu, tk)
+        return PadicNumber(self.ctx, av, au, ak)
 
     def evaluate_series(self, series_list, order: int) -> TruncatedSeries:
         """Substitute a truncated series for each variable.

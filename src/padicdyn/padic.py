@@ -67,6 +67,27 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def triple_pow(p: int, v: int, u: int, k: int, n: int):
+    """(v, u, k)**n for n >= 1 by binary exponentiation with ``_core.tr_mul``.
+
+    The running product starts at the base rather than at one, and the base is
+    not squared after the top bit.  Both give the triples of the loop that
+    starts at one: one times x is bitwise x, because a value carries at most
+    the working precision and one carries exactly that.
+    """
+    rv = None
+    while True:
+        if n & 1:
+            if rv is None:
+                rv, ru, rk = v, u, k
+            else:
+                rv, ru, rk = _core.tr_mul(p, rv, ru, rk, v, u, k)
+        n >>= 1
+        if not n:
+            return rv, ru, rk
+        v, u, k = _core.tr_mul(p, v, u, k, v, u, k)
+
+
 @dataclass(frozen=True)
 class PadicContext:
     """Ambient field Q_p with a relative-precision cap.
@@ -168,7 +189,7 @@ class PadicNumber:
 
     def _coerce(self, other):
         if isinstance(other, PadicNumber):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("operands from different p-adic contexts")
             return other
         if isinstance(other, int):
@@ -229,14 +250,10 @@ class PadicNumber:
         """Binary exponentiation; n >= 0."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.ctx.one()
+        v, u, k = triple_pow(self.ctx.prime, self._v, self._u, self._k, n)
+        return PadicNumber(self.ctx, v, u, k)
 
     def __eq__(self, other):
         """Certified comparison; raises when precision cannot decide."""

@@ -189,6 +189,24 @@ class TestInversionAndIsometry:
         with pytest.raises(ValidationError):
             lin.log_of(c3.integer(1))
 
+    def test_undecidable_membership_message(self, c5):
+        # z = alpha + O(5): z - alpha is zero only to O(5^1), below the radius
+        P = Polynomial(c5, [5, 6, 2, 1])
+        from padicdyn import find_fixed_points, ATTRACTING, PadicNumber, PrecisionError
+
+        alpha = [f for f in find_fixed_points(P).points if f.classification == ATTRACTING][0].point
+        lin = linearize(P, alpha, 16)
+        z = alpha + PadicNumber(c5, 1, 0, 0)
+        with pytest.raises(PrecisionError) as direct:
+            lin.isometry_ball.contains(z)
+        with pytest.raises(PrecisionError) as via_log:
+            lin.log_of(z)
+        assert str(via_log.value) == str(direct.value)
+        assert str(via_log.value) == (
+            "membership undecidable: v(z - center) only known to be"
+            f" >= 1 < {lin.isometry_radius_valuation}"
+        )
+
 
 class TestConjugationIdentity:
     def test_log_of_image(self, c3):
