@@ -116,7 +116,11 @@ class AnalysisReport:
 def validate(spec: SystemSpec) -> ValidatedSystem:
     """Check every hypothesis and advance the orbit into the isometry balls.
 
-    Raises ValidationError naming the violated hypothesis otherwise.
+    Each distinct (map, fixed point) is linearized once: coordinates whose map
+    coefficients and fixed point are equal triple for triple (value and
+    precision) share one ``Linearization``, as in the invariant diagonal of a
+    system (f, ..., f).  Raises ValidationError naming the violated hypothesis
+    (and the first coordinate that violates it) otherwise.
     """
     g = len(spec.maps)
     if g < 2:
@@ -129,13 +133,21 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
     if not spec.variety:
         raise ValidationError("variety must have at least one generator")
     lins = []
+    distinct = {}
     for i, (P, alpha) in enumerate(zip(spec.maps, spec.fixed_points)):
         if P.ctx != spec.ctx:
             raise ValidationError("all maps must share the problem context")
-        try:
-            lins.append(linearize(P, alpha, spec.truncation))
-        except (ValidationError, PrecisionError) as exc:
-            raise ValidationError(f"coordinate {i + 1}: {exc}") from exc
+        key = (
+            tuple((c._v, c._u, c._k) for c in P.coefficients),
+            (alpha.ctx, alpha._v, alpha._u, alpha._k),
+        )
+        lin = distinct.get(key)
+        if lin is None:
+            try:
+                lin = distinct[key] = linearize(P, alpha, spec.truncation)
+            except (ValidationError, PrecisionError) as exc:
+                raise ValidationError(f"coordinate {i + 1}: {exc}") from exc
+        lins.append(lin)
     a1 = lins[0].multiplier
     for i, lin in enumerate(lins[1:], start=2):
         if not (lin.multiplier - a1).is_zero_to_precision:

@@ -14,7 +14,11 @@ L(G(X)) = a1*L(X)), and certified radii:
 
 Both coefficient recursions divide by a1^n - a1 = a1 * (a1^{n-1} - 1); since
 v(a1) >= 1 the second factor is a unit, so every division is an exact unit
-division after factoring out a1.
+division after factoring out a1.  ``linearize`` builds these divisors once and
+hands them to both recursions.  L's recursion reads [X^n] G^m from a table
+whose row m is H^m = (G/X)^m through degree T - m: with G's constant term
+taken as exactly zero, [X^n] G^m = [X^(n-m)] H^m, and the exact zeros of G^m
+below degree m are never formed.
 """
 
 from __future__ import annotations
@@ -80,25 +84,27 @@ def _koenigs_divisor(a1: PadicNumber, order: int):
     """divide(n, s) = s / (a1^n - a1) for 2 <= n <= order.
 
     a1^n - a1 = a1 * (a1^{n-1} - 1) and the second factor is a unit, so s is
-    divided by a1 and then by that unit; a1^{n-1} is carried incrementally.
+    divided by a1 and then by that unit; a1^{n-1} is carried incrementally
+    and -1 is formed once.
     """
     p = a1.ctx.prime
+    av, au, ak = a1._v, a1._u, a1._k
     one = a1.ctx.one()
+    neg_one = _core.tr_neg(p, one._v, one._u, one._k)
     units = [None, None]
-    a1pow = a1
+    pv, pu, pk = av, au, ak
     for _ in range(2, order + 1):
-        units.append(a1pow - one)
-        a1pow = a1pow * a1
+        units.append(_core.tr_add(p, pv, pu, pk, *neg_one))
+        pv, pu, pk = _core.tr_mul(p, pv, pu, pk, av, au, ak)
 
     def divide(n, s):
-        unit = units[n]
-        v, u, k = _core.tr_div(p, *s, a1._v, a1._u, a1._k)
-        return _core.tr_div(p, v, u, k, unit._v, unit._u, unit._k)
+        v, u, k = _core.tr_div(p, *s, av, au, ak)
+        return _core.tr_div(p, v, u, k, *units[n])
 
     return divide
 
 
-def koenigs_coefficients(G: Polynomial, order: int) -> TruncatedSeries:
+def koenigs_coefficients(G: Polynomial, order: int, divide=None) -> TruncatedSeries:
     """Normalized linearizing series E for G: c_1 = 1 and, for n >= 2,
 
         (a1^n - a1) c_n = sum_{i=2}^{r} a_i * [X^n] E^i,
@@ -106,54 +112,61 @@ def koenigs_coefficients(G: Polynomial, order: int) -> TruncatedSeries:
     solved by ``solve_by_powers`` with G's coefficients as weights, so each
     degree costs O(r*n) coefficient products.  The attached tail bound is
     v(c_n) >= -n*(v(a1) + w + 1) with w the integrality defect of G.
+    ``divide`` is ``_koenigs_divisor(a1, order)``, built here when not given.
     """
     a1 = _check_multiplier(G)
     _check_headroom(G, order)
+    if divide is None:
+        divide = _koenigs_divisor(a1, order)
     coeffs = G.coefficients
     weights = ([c._v for c in coeffs], [c._u for c in coeffs], [c._k for c in coeffs])
     s = a1.valuation + _integrality_defect(G) + 1
     tail = TailBound(-s, 0)
-    return solve_by_powers(G.ctx, order, G.ctx.one(), weights, _koenigs_divisor(a1, order), tail)
+    return solve_by_powers(G.ctx, order, G.ctx.one(), weights, divide, tail)
 
 
-def inverse_koenigs_coefficients(G: Polynomial, order: int) -> TruncatedSeries:
+def inverse_koenigs_coefficients(G: Polynomial, order: int, divide=None) -> TruncatedSeries:
     """Logarithm series L for G, solving L(G(X)) = a1*L(X) with l_1 = 1:
 
         (a1^n - a1) l_n = -sum_{m=1}^{n-1} l_m * [X^n] G^m.
 
+    G's constant term is taken as exactly zero (it is zero to working
+    precision by construction), so [X^n] G^m = [X^(n-m)] H^m with H = G/X,
+    and the table keeps row m as H^m through degree T - m.  Each sum then
+    meets exactly the terms of the full G^m table that are not exact zeros.
     Tail bound v(l_n) >= (1-n)*(v(a1) + w), by induction on this recursion.
+    ``divide`` is ``_koenigs_divisor(a1, order)``, built here when not given.
     """
     ctx = G.ctx
     a1 = _check_multiplier(G)
     _check_headroom(G, order)
+    if divide is None:
+        divide = _koenigs_divisor(a1, order)
     p = ctx.prime
     t = order
     one = ctx.one()
 
-    # Powers of G as coefficient arrays truncated at t, constant term treated
-    # as exactly zero (it is zero to working precision by construction).
-    gl = min(G.degree, t) + 1
-    gv = [INF_BOUND] + [c._v for c in G.coefficients[1:gl]]
-    gu = [0] + [c._u for c in G.coefficients[1:gl]]
-    gk = [0] + [c._k for c in G.coefficients[1:gl]]
-    pad = t + 1 - len(gv)
-    gpow = [None, (gv + [INF_BOUND] * pad, gu + [0] * pad, gk + [0] * pad)]
+    h = G.coefficients[1:min(G.degree, t) + 1]
+    pad = t - len(h)
+    hv = [c._v for c in h]
+    hu = [c._u for c in h]
+    hk = [c._k for c in h]
+    hpow = [None, (hv + [INF_BOUND] * pad, hu + [0] * pad, hk + [0] * pad)]
     for m in range(2, t):
-        pv, pu, pk = gpow[m - 1]
-        gpow.append(_core.series_mul(p, pv, pu, pk, gv, gu, gk, t))
+        pv, pu, pk = hpow[m - 1]
+        hpow.append(_core.series_mul(p, pv, pu, pk, hv, hu, hk, t - m))
 
     lv = [INF_BOUND] * (t + 1)
     lu = [0] * (t + 1)
     lk = [0] * (t + 1)
     if t >= 1:
         lv[1], lu[1], lk[1] = one._v, one._u, one._k
-    divide = _koenigs_divisor(a1, t)
     for n in range(2, t + 1):
         s = _core.dot(
             p, lv[1:n], lu[1:n], lk[1:n],
-            [gpow[m][0][n] for m in range(1, n)],
-            [gpow[m][1][n] for m in range(1, n)],
-            [gpow[m][2][n] for m in range(1, n)],
+            [hpow[m][0][n - m] for m in range(1, n)],
+            [hpow[m][1][n - m] for m in range(1, n)],
+            [hpow[m][2][n - m] for m in range(1, n)],
         )
         lv[n], lu[n], lk[n] = _core.tr_neg(p, *divide(n, s))
     sigma = a1.valuation + _integrality_defect(G)
@@ -232,8 +245,9 @@ def linearize(P: Polynomial, alpha: PadicNumber, order: int) -> Linearization:
     """Build the full linearization of P at the attracting fixed point alpha."""
     G = conjugate_to_origin(P, alpha)
     a1 = _check_multiplier(G)
-    exp_series = koenigs_coefficients(G, order)
-    log_series = inverse_koenigs_coefficients(G, order)
+    divide = _koenigs_divisor(a1, order)
+    exp_series = koenigs_coefficients(G, order, divide)
+    log_series = inverse_koenigs_coefficients(G, order, divide)
     rho = a1.valuation + _integrality_defect(G) + 2
     m0 = isometry_radius(exp_series, G)
     if m0 < rho:

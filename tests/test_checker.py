@@ -7,6 +7,7 @@ import pytest
 from padicdyn import (
     MultivariatePoly,
     PadicContext,
+    PadicNumber,
     Polynomial,
     SystemSpec,
     ValidationError,
@@ -15,8 +16,10 @@ from padicdyn import (
     compute_lambdas,
     direct_orbit_scan,
     iterate,
+    linearize,
     validate,
 )
+from padicdyn import checker
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +79,59 @@ class TestValidate:
         spec = SystemSpec(ctx, [P], [ctx.zero()], [ctx.integer(3)],
                           [MultivariatePoly(ctx, 1, {(1,): 1})], 16, 10)
         with pytest.raises(ValidationError):
+            validate(spec)
+
+
+class TestSharedLinearizations:
+    def test_equal_maps_share_one_linearization(self, ctx):
+        P1 = Polynomial(ctx, [0, 3, 1])
+        P2 = Polynomial(ctx, [0, 3, 1])
+        P3 = Polynomial(ctx, [0, 3, 2, 1])
+        spec = SystemSpec(ctx, [P1, P3, P2], [ctx.zero(), ctx.zero(), ctx.zero()],
+                          [ctx.integer(3), ctx.integer(9), ctx.integer(27)],
+                          [MultivariatePoly(ctx, 3, {(1, 0, 0): 1, (0, 0, 1): -1})], 16, 20)
+        lins = validate(spec).linearizations
+        assert lins[0] is lins[2]
+        assert lins[1] is not lins[0]
+
+    def test_lower_precision_coefficient_does_not_share(self, ctx):
+        P1 = Polynomial(ctx, [0, 3, 1])
+        P2 = Polynomial(ctx, [0, 3, PadicNumber(ctx, 0, 1, 100)])
+        assert (P2.coefficients[2] - P1.coefficients[2]).is_zero_to_precision
+        spec = make_spec(ctx, P1, [ctx.integer(9), ctx.integer(9)], [diag_generator(ctx)])
+        spec.maps = [P1, P2]
+        lins = validate(spec).linearizations
+        assert lins[0] is not lins[1]
+
+    def test_shared_series_are_not_mutated_by_analyze(self, ctx, P, monkeypatch):
+        P2 = Polynomial(ctx, [0, 3, 2, 1])
+        gen = MultivariatePoly(ctx, 4, {(1, 0, 0, 0): 2, (0, 1, 0, 0): -5, (0, 0, 1, 1): 1,
+                                        (0, 0, 0, 0): 21})
+        diag = MultivariatePoly(ctx, 4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1})
+        spec = SystemSpec(ctx, [P, P, P2, Polynomial(ctx, [0, 3, 2, 1])], [ctx.zero()] * 4,
+                          [ctx.integer(3), ctx.integer(9), ctx.integer(9), ctx.integer(27)],
+                          [gen, diag], 32, 30)
+        seen = []
+        real_validate = checker.validate
+        monkeypatch.setattr(checker, "validate", lambda s: seen.append(real_validate(s)) or seen[-1])
+        assert analyze(spec).verdict in ("finite", "inconclusive")
+        lins = seen[0].linearizations
+        assert lins[0] is lins[1] and lins[2] is lins[3]
+        for lin, Pi, alpha in zip(lins, spec.maps, spec.fixed_points):
+            fresh = linearize(Pi, alpha, spec.truncation)
+            for got, want in ((lin.exp_series, fresh.exp_series), (lin.log_series, fresh.log_series)):
+                assert (got._v, got._u, got._k) == (want._v, want._u, want._k)
+                assert got.tail == want.tail
+
+    def test_shared_failure_names_first_coordinate(self):
+        # N = 40, T = 16: v(a1) = 1 needs N > 24, v(a1) = 2 needs N > 40
+        ctx40 = PadicContext(3, 40)
+        P1 = Polynomial(ctx40, [0, 3, 1])
+        P2 = Polynomial(ctx40, [0, 9, 1])
+        spec = SystemSpec(ctx40, [P1, P2, Polynomial(ctx40, [0, 9, 1])], [ctx40.zero()] * 3,
+                          [ctx40.integer(3)] * 3,
+                          [MultivariatePoly(ctx40, 3, {(1, 0, 0): 1, (0, 1, 0): -1})], 16, 10)
+        with pytest.raises(ValidationError, match=r"^coordinate 2: working precision 40 too small"):
             validate(spec)
 
 

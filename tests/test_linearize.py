@@ -1,5 +1,6 @@
 """Koenigs linearization: recursion values, functional equation, radii, isometries."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from padicdyn import (
     verify_functional_equation,
 )
 from padicdyn import _core
-from padicdyn.linearize import _integrality_defect, inverse_koenigs_coefficients
+from padicdyn.linearize import _integrality_defect, _koenigs_divisor, inverse_koenigs_coefficients
 from padicdyn.padic import INF_BOUND
 from padicdyn.series import TailBound
 
@@ -376,6 +377,35 @@ def random_conjugate(rng, p):
     return Polynomial(ctx, coeffs), t
 
 
+def edge_conjugate(rng, p, t, shape):
+    """A map fixing 0 at order t in one of the shapes that bound L's power
+    table: ``degree1`` (pX alone, so H = G/X has one entry), ``inexact``
+    (higher coefficients known only to O(p^b)) or ``mixed``."""
+    va1 = rng.randint(1, 2)
+    ctx = PadicContext(p, t * va1 + 8 + rng.randint(1, 24))
+    unit = rng.randrange(1, p**3)
+    while unit % p == 0:
+        unit = rng.randrange(1, p**3)
+    coeffs = [0, unit * p**va1]
+    if shape != "degree1":
+        for _ in range(rng.randint(2, 5)):
+            kind = rng.random()
+            if shape == "inexact" and kind < 0.6:
+                coeffs.append(ctx.zero(rng.randint(-3, 30)))
+            elif kind < 0.2:
+                coeffs.append(ctx.zero())
+            elif kind < 0.5:
+                coeffs.append(ctx.from_rational(rng.randint(1, 50), p ** rng.randint(1, 2)))
+            else:
+                coeffs.append(ctx.from_rational(rng.randint(-50, 50), rng.randint(1, 9)))
+        if not coeffs[-1].is_certified_nonzero:
+            coeffs[-1] = ctx.one()
+    return Polynomial(ctx, coeffs)
+
+
+EDGE_CASES = [(t, shape) for t in (1, 2, 3, 17, 40, 64) for shape in ("degree1", "inexact", "mixed")]
+
+
 def assert_series_is(series, expected):
     v, u, k, tail = expected
     assert (series._v, series._u, series._k) == (v, u, k)
@@ -394,6 +424,40 @@ def test_recursions_match_reference_loops(p):
         for f in (e, lg):
             g = f.reversion()
             assert (g._v, g._u, g._k) == reference_reversion(f)
+    for t, shape in EDGE_CASES:
+        G = edge_conjugate(rng, p, t, shape)
+        assert G.degree == 1 if shape == "degree1" else G.degree >= 2
+        assert_series_is(koenigs_coefficients(G, t), reference_koenigs(G, t))
+        assert_series_is(inverse_koenigs_coefficients(G, t), reference_inverse_koenigs(G, t))
+
+
+def test_shared_divisor_gives_the_same_series():
+    rng = random.Random(8200)
+    for p in (2, 3, 5, 7):
+        for t, shape in EDGE_CASES:
+            G = edge_conjugate(rng, p, t, shape)
+            divide = _koenigs_divisor(G.coefficients[1], t)
+            for solve in (koenigs_coefficients, inverse_koenigs_coefficients):
+                alone = solve(G, t)
+                shared = solve(G, t, divide)
+                assert (shared._v, shared._u, shared._k) == (alone._v, alone._u, alone._k)
+                assert shared.tail == alone.tail
+
+
+def test_linearize_builds_one_divisor(c3, monkeypatch):
+    module = importlib.import_module("padicdyn.linearize")
+    built = []
+
+    def counting_divisor(a1, order):
+        built.append(order)
+        return _koenigs_divisor(a1, order)
+
+    monkeypatch.setattr(module, "_koenigs_divisor", counting_divisor)
+    P = Polynomial(c3, [0, 3, 2, 1])
+    lin = linearize(P, c3.zero(), 24)
+    assert built == [24]
+    assert_series_is(lin.exp_series, reference_koenigs(lin.conjugate_poly, 24))
+    assert_series_is(lin.log_series, reference_inverse_koenigs(lin.conjugate_poly, 24))
 
 
 def test_recursions_match_reference_at_order_1_and_non_integral_a2(c3):
