@@ -18,7 +18,6 @@ from .dynamics import (
     FixedPointInfo,
     FixedPointScan,
     Polynomial,
-    attracting_radius,
     find_fixed_points,
     iterate,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ValidationError",
     "ZeroCount",
     "analyze",
-    "attracting_radius",
     "build_F",
     "compute_lambdas",
     "conjugate_to_origin",

@@ -108,8 +108,10 @@ def _cmd_fixed_points(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    if args.steps < 0:
+        raise ValidationError(f"--steps {args.steps} must be >= 0")
     spec = _load(args)
-    indices = [args.map_index] if args.map_index else range(1, len(spec.maps) + 1)
+    indices = range(1, len(spec.maps) + 1) if args.map_index is None else [args.map_index]
     for idx in indices:
         P, alpha, x = _select_map(spec, idx)
         points, dists, exhausted = orbit_distances(P, alpha, x, args.steps)
@@ -164,9 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once per process; each parse_args call leaves it unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, PrecisionError, OSError) as exc:

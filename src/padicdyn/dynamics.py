@@ -84,7 +84,12 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class FixedPointInfo:
-    """A fixed point with its multiplier and classification."""
+    """A fixed point with its multiplier and classification.
+
+    ``attracting_radius_valuation`` (attracting points only, else None) is the
+    smallest m with v(P(z) - alpha) = v(multiplier) + v(z - alpha) on
+    {v(z - alpha) >= m}, so every orbit started there converges to alpha.
+    """
 
     point: PadicNumber
     multiplier: PadicNumber
@@ -169,19 +174,6 @@ def find_fixed_points(P: Polynomial) -> FixedPointScan:
             radius = contraction_radius(P.shift_argument(x), mult.valuation)
         points.append(FixedPointInfo(x, mult, cls, radius))
     return FixedPointScan(points, unresolved)
-
-
-def attracting_radius(P: Polynomial, fp: FixedPointInfo) -> int:
-    """Smallest integer m such that one P-step provably scales distances.
-
-    On {v(z - alpha) >= m} the conjugate G = P(X + alpha) - alpha satisfies
-    v(b_i) + (i - 1) m > v(b_1) for every higher coefficient, hence
-    v(P(z) - alpha) = v(multiplier) + v(z - alpha) and the orbit converges to
-    alpha.
-    """
-    if fp.classification != ATTRACTING:
-        raise ValidationError("attracting_radius needs an attracting fixed point")
-    return contraction_radius(P.shift_argument(fp.point), fp.multiplier.valuation)
 
 
 def contraction_radius(g, v1: int) -> int:

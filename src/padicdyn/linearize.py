@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import _core
 from .errors import ValidationError
 from .padic import Ball, INF_BOUND, PadicNumber
-from .series import TailBound, TruncatedSeries, solve_by_powers
+from .series import TailBound, TruncatedSeries
 from .dynamics import Polynomial, contraction_radius
 
 _HEADROOM = 8
@@ -107,22 +107,49 @@ def _koenigs_divisor(a1: PadicNumber, order: int):
 def koenigs_coefficients(G: Polynomial, order: int, divide=None) -> TruncatedSeries:
     """Normalized linearizing series E for G: c_1 = 1 and, for n >= 2,
 
-        (a1^n - a1) c_n = sum_{i=2}^{r} a_i * [X^n] E^i,
+        (a1^n - a1) c_n = sum_{i=2}^{r} a_i * [X^n] E^i.
 
-    solved by ``solve_by_powers`` with G's coefficients as weights, so each
-    degree costs O(r*n) coefficient products.  The attached tail bound is
-    v(c_n) >= -n*(v(a1) + w + 1) with w the integrality defect of G.
-    ``divide`` is ``_koenigs_divisor(a1, order)``, built here when not given.
+    The powers are carried incrementally, [X^n] E^i = sum_{j=1}^{n-i+1} c_j
+    [X^(n-j)] E^(i-1), which reads only c_j with j < n, so degree n costs
+    O(r*n) coefficient products and one closed-form ``_core.dot``.  The
+    attached tail bound is v(c_n) >= -n*(v(a1) + w + 1) with w the
+    integrality defect of G.  ``divide`` is ``_koenigs_divisor(a1, order)``,
+    built here when not given.
     """
+    ctx = G.ctx
     a1 = _check_multiplier(G)
     _check_headroom(G, order)
     if divide is None:
         divide = _koenigs_divisor(a1, order)
+    p = ctx.prime
+    t = order
+    one = ctx.one()
     coeffs = G.coefficients
-    weights = ([c._v for c in coeffs], [c._u for c in coeffs], [c._k for c in coeffs])
+    av = [c._v for c in coeffs]
+    au = [c._u for c in coeffs]
+    ak = [c._k for c in coeffs]
+    top = min(G.degree, t)  # higher powers of E start above degree t
+    zero_row = lambda: ([INF_BOUND] * (t + 1), [0] * (t + 1), [0] * (t + 1))
+    ev, eu, ek = e = zero_row()
+    # pows[i] holds E**i, filled below degree n while degree n is solved
+    pows = [None, e] + [zero_row() for _ in range(2, top + 1)]
+    if t >= 1:
+        ev[1], eu[1], ek[1] = one._v, one._u, one._k
+    for n in range(2, t + 1):
+        itop = min(n, top)
+        for i in range(2, itop + 1):
+            pv, pu, pk = pows[i - 1]
+            qv, qu, qk = pows[i]
+            qv[n], qu[n], qk[n] = _core.conv_at(p, ev, eu, ek, pv, pu, pk, n, 1, n - i + 1)
+        s = _core.dot(
+            p, av[2:itop + 1], au[2:itop + 1], ak[2:itop + 1],
+            [pows[i][0][n] for i in range(2, itop + 1)],
+            [pows[i][1][n] for i in range(2, itop + 1)],
+            [pows[i][2][n] for i in range(2, itop + 1)],
+        )
+        ev[n], eu[n], ek[n] = divide(n, s)
     s = a1.valuation + _integrality_defect(G) + 1
-    tail = TailBound(-s, 0)
-    return solve_by_powers(G.ctx, order, G.ctx.one(), weights, divide, tail)
+    return TruncatedSeries(ctx, t, ev, eu, ek, TailBound(-s, 0))
 
 
 def inverse_koenigs_coefficients(G: Polynomial, order: int, divide=None) -> TruncatedSeries:

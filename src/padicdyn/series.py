@@ -270,33 +270,30 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    # -- composition and inversion ----------------------------------------------
+    # -- composition ------------------------------------------------------------
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Truncated composition self(inner(X)).
+        """Truncated composition self(inner(X)) for an exactly-zero inner constant.
 
-        Requires an exactly-zero constant term in ``inner`` unless ``self`` is a
-        polynomial (infinite tail): for a true series, a nonzero inner constant
-        would let discarded outer coefficients feed back into low degrees.
+        Any other inner constant raises ValueError: for a true series it would
+        let discarded outer coefficients feed back into low degrees, and no
+        composition on the check path needs it.
         """
         self._check_compatible(inner)
-        inner_c0_exact_zero = inner._u[0] == 0 and inner._v[0] >= INF_BOUND
-        if not self.tail.is_infinite and not inner_c0_exact_zero:
-            raise ValueError("inner constant term must be exactly zero for series composition")
+        if not (inner._u[0] == 0 and inner._v[0] >= INF_BOUND):
+            raise ValueError("inner constant term must be exactly zero for composition")
         t = min(self._t, inner._t)
         inner_t = inner.truncate(t)
         p = self.ctx.prime
         d_inner = inner_t._degree_bound()
         iv, iu, ik = inner_t._v[:d_inner + 1], inner_t._u[:d_inner + 1], inner_t._k[:d_inner + 1]
-        # Horner on coefficient arrays, highest coefficient first.  With an
-        # exactly-zero inner constant the accumulator at step i reaches only
-        # degrees <= t - i of the result, and outer coefficients above t meet
-        # only exact zeros; otherwise every step keeps all t + 1 degrees.  The
-        # last step leaves t + 1 coefficients, and when no step runs t is 0.
-        top = t if inner_c0_exact_zero else self._t
-        vals, units, precs = [self._v[top]], [self._u[top]], [self._k[top]]
-        for i in range(top - 1, -1, -1):
-            deg = t - i if inner_c0_exact_zero else t
+        # Horner on coefficient arrays, highest coefficient first.  The
+        # accumulator at step i reaches only degrees <= t - i of the result, and
+        # outer coefficients above t meet only exact zeros.  The last step
+        # leaves t + 1 coefficients, and when no step runs t is 0.
+        vals, units, precs = [self._v[t]], [self._u[t]], [self._k[t]]
+        for i in range(t - 1, -1, -1):
+            deg = t - i
             vals, units, precs = _core.series_mul(
                 p, iv[:deg + 1], iu[:deg + 1], ik[:deg + 1], vals, units, precs, deg
             )
@@ -304,7 +301,7 @@ class TruncatedSeries:
                 p, vals[0], units[0], precs[0], self._v[i], self._u[i], self._k[i]
             )
         # Tail of the true composition from the envelopes.
-        s_in, b_in = inner_t._envelope(1 if inner_c0_exact_zero else 0)
+        s_in, b_in = inner_t._envelope(1)
         s_o, b_o = self._envelope(1)
         d_self = self._degree_bound()
         if b_o == _INF or b_in == _INF:
@@ -321,68 +318,6 @@ class TruncatedSeries:
             else:
                 tail = TailBound(s_in + s, b_o)
         return TruncatedSeries(self.ctx, t, vals, units, precs, tail)
-
-    def multiplicative_inverse(self) -> "TruncatedSeries":
-        """Reciprocal series 1/self; the constant term must be a unit."""
-        c0 = self.coefficient(0)
-        if not c0.is_certified_nonzero:
-            raise ValueError("reciprocal requires a certified nonzero constant term")
-        p = self.ctx.prime
-        t = self._t
-        g0 = self.ctx.one() / c0
-        gv = [g0._v]
-        gu = [g0._u]
-        gk = [g0._k]
-        for n in range(1, t + 1):
-            sv, su, sk = _core.conv_at(p, self._v, self._u, self._k, gv, gu, gk, n, 1, n)
-            v, u, k = _core.tr_mul(p, sv, su, sk, g0._v, g0._u, g0._k)
-            v, u, k = _core.tr_neg(p, v, u, k)
-            gv.append(v)
-            gu.append(u)
-            gk.append(k)
-        # From g_n = -(1/c0) * sum_{i>=1} f_i g_{n-i} and envelope
-        # v(f_i) >= a*i + b (i >= 1): v(g_n) >= (a - e)*n - v(c0) with
-        # e = max(0, v(c0) - b).
-        s_f, b_f = self._envelope(1)
-        v0 = c0.valuation
-        if b_f == _INF:
-            tail = ZERO_TAIL  # reciprocal of a constant is exact
-        else:
-            e = max(0, v0 - b_f)
-            tail = TailBound(s_f - e, -v0)
-        return TruncatedSeries(self.ctx, t, gv, gu, gk, tail)
-
-    def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse: g with self(g(X)) = X = g(self(X)) to order T.
-
-        Requires constant term zero (to precision) and a unit linear
-        coefficient.  Solved by ``solve_by_powers`` from the coefficient
-        recursion of f(g) = X: for n > 1, 0 = c1 g_n + sum_{m>=2} f_m [X^n] g^m.
-        """
-        if self._t < 1:
-            raise ValueError("reversion needs truncation order >= 1")
-        if not self.coefficient(0).is_zero_to_precision:
-            raise ValueError("reversion requires a zero constant term")
-        c1 = self.coefficient(1)
-        if not c1.is_certified_nonzero or c1.valuation != 0:
-            raise ValueError("reversion requires a unit linear coefficient")
-        # Tail: from the same recursion, with envelope v(f_m) >= a*m + b for
-        # m >= 2 one gets v(g_n) >= A*n + B with B = max(-a, -2a-b), A = -B
-        # (induction over the coefficient recursion; always feasible).
-        a, b = self._envelope(2)
-        if b == _INF:
-            tail = ZERO_TAIL  # self is exactly linear, so is its inverse
-        else:
-            bb = max(-a, -2 * a - b)
-            tail = TailBound(-bb, bb)
-        p = self.ctx.prime
-
-        def divide(n, s):
-            v, u, k = _core.tr_div(p, *s, c1._v, c1._u, c1._k)
-            return _core.tr_neg(p, v, u, k)
-
-        weights = (self._v, self._u, self._k)
-        return solve_by_powers(self.ctx, self._t, self.ctx.one() / c1, weights, divide, tail)
 
     # -- analytic operations ------------------------------------------------------
 
@@ -486,42 +421,6 @@ class TruncatedSeries:
                         f" (margin {phi} at degree {self._t + 1})"
                     )
         return ZeroCount(n_m, certified, reason)
-
-
-def solve_by_powers(ctx, order, first, weights, divide, tail) -> TruncatedSeries:
-    """Series h = first*X + h_2 X^2 + ... + h_T X^T solved degree by degree.
-
-    For n >= 2, ``h_n = divide(n, s_n)`` with ``s_n = sum_{m>=2} w_m [X^n] h^m``
-    and ``weights = (wv, wu, wk)`` the coefficient arrays of w_0, w_1, ...
-    (only m >= 2 is read).  The powers are carried incrementally,
-    ``[X^n] h^m = sum_{j=1}^{n-m+1} h_j [X^{n-j}] h^(m-1)``, which reads only
-    h_j with j < n, so degree n costs O(M*n) coefficient products for M weights.
-    ``s_n`` is one closed-form ``_core.dot``.  ``tail`` is attached as given.
-    """
-    p = ctx.prime
-    t = order
-    wv, wu, wk = weights
-    top = min(len(wv) - 1, t)  # higher powers of h start above degree t
-    zero_row = lambda: ([INF_BOUND] * (t + 1), [0] * (t + 1), [0] * (t + 1))
-    hv, hu, hk = h = zero_row()
-    # pows[m] holds h**m, filled below degree n while degree n is solved
-    pows = [None, h] + [zero_row() for _ in range(2, top + 1)]
-    if t >= 1:
-        hv[1], hu[1], hk[1] = first._v, first._u, first._k
-    for n in range(2, t + 1):
-        mtop = min(n, top)
-        for m in range(2, mtop + 1):
-            pv, pu, pk = pows[m - 1]
-            qv, qu, qk = pows[m]
-            qv[n], qu[n], qk[n] = _core.conv_at(p, hv, hu, hk, pv, pu, pk, n, 1, n - m + 1)
-        s = _core.dot(
-            p, wv[2:mtop + 1], wu[2:mtop + 1], wk[2:mtop + 1],
-            [pows[m][0][n] for m in range(2, mtop + 1)],
-            [pows[m][1][n] for m in range(2, mtop + 1)],
-            [pows[m][2][n] for m in range(2, mtop + 1)],
-        )
-        hv[n], hu[n], hk[n] = divide(n, s)
-    return TruncatedSeries(ctx, t, hv, hu, hk, tail)
 
 
 def _lower_hull(points):

@@ -188,5 +188,14 @@ class TestSubcommands:
             assert f"v(P^n(x)-alpha)={2 + n}" in out
 
     def test_bad_map_index(self, tmp_path, capsys):
+        # a bad flag exits 3 before any output, and the message names the flag
         path = write(tmp_path, "diag.json", DIAG)
-        assert main(["linearize", path, "--map-index", "5"]) == 3
+        for args, flag in (
+            (["linearize", path, "--map-index", "5"], "--map-index 5"),
+            (["orbit", path, "--steps", "4", "--map-index", "0"], "--map-index 0"),
+            (["orbit", path, "--steps", "-3"], "--steps -3"),
+        ):
+            assert main(args) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {flag} ")

@@ -11,7 +11,6 @@ from padicdyn import (
     PadicContext,
     Polynomial,
     ValidationError,
-    attracting_radius,
     find_fixed_points,
     iterate,
 )
@@ -169,8 +168,7 @@ class TestAttractingRadius:
     def test_rejects_non_attracting(self, c5):
         P = Polynomial(c5, [0, 0, 1])
         fp = [f for f in find_fixed_points(P).points if f.classification == SUPERATTRACTING][0]
-        with pytest.raises(ValidationError):
-            attracting_radius(P, fp)
+        assert fp.attracting_radius_valuation is None
 
 
 class TestOrbitDistances:

@@ -63,21 +63,6 @@ def test_compose_tail_covers_true_coefficients(ctx):
     assert_tail_covers(small, large)
 
 
-def test_reversion_tail_covers_true_coefficients(ctx):
-    G = Polynomial(ctx, [0, 3, 0, 2])
-    small_exp = koenigs_coefficients(G, 10)
-    large_exp = koenigs_coefficients(G, 40)
-    small = small_exp.reversion()
-    large = large_exp.reversion()
-    assert_tail_covers(small, large)
-
-
-def test_reciprocal_tail_covers_true_coefficients(ctx):
-    f_small = TruncatedSeries.from_coefficients(ctx, [2, 3, 1, 9], order=8)
-    f_large = TruncatedSeries.from_coefficients(ctx, [2, 3, 1, 9], order=32)
-    assert_tail_covers(f_small.multiplicative_inverse(), f_large.multiplicative_inverse())
-
-
 def test_count_zeros_accepts_ball(ctx):
     f = TruncatedSeries.constant(ctx, 3, 6) - TruncatedSeries.variable(ctx, 6)
     zc = f.count_zeros_in_ball(1)
