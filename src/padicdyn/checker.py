@@ -21,8 +21,6 @@ independent of the F-side analysis so it can serve as an oracle for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import _core
 from .errors import PrecisionError, ValidationError
 from .padic import PadicContext, PadicNumber
@@ -48,44 +46,74 @@ _CANDIDATE_NOTE = (
 )
 
 
-@dataclass
-class SystemSpec:
+class _Record:
+    """Field-wise ``repr`` and ``==`` over ``__slots__``, for the plain
+    mutable records below (unhashable, like any mutable value)."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+
+class SystemSpec(_Record):
     """A dynamical intersection problem instance."""
 
-    ctx: PadicContext
-    maps: list
-    fixed_points: list
-    start: list
-    variety: list
-    truncation: int = 64
-    max_direct_iterations: int = 200
+    __slots__ = ("ctx", "maps", "fixed_points", "start", "variety", "truncation",
+                 "max_direct_iterations")
+
+    def __init__(self, ctx: PadicContext, maps: list, fixed_points: list, start: list,
+                 variety: list, truncation: int = 64, max_direct_iterations: int = 200):
+        self.ctx = ctx
+        self.maps = maps
+        self.fixed_points = fixed_points
+        self.start = start
+        self.variety = variety
+        self.truncation = truncation
+        self.max_direct_iterations = max_direct_iterations
 
 
-@dataclass
-class ValidatedSystem:
+class ValidatedSystem(_Record):
     """A SystemSpec with constructed linearizations and the orbit advanced
     until every coordinate sits inside its certified isometry ball."""
 
-    spec: SystemSpec
-    linearizations: list
-    multiplier: PadicNumber
-    n0: int
-    advanced_start: list
-    degenerate: bool
+    __slots__ = ("spec", "linearizations", "multiplier", "n0", "advanced_start", "degenerate")
+
+    def __init__(self, spec: SystemSpec, linearizations: list, multiplier: PadicNumber,
+                 n0: int, advanced_start: list, degenerate: bool):
+        self.spec = spec
+        self.linearizations = linearizations
+        self.multiplier = multiplier
+        self.n0 = n0
+        self.advanced_start = advanced_start
+        self.degenerate = degenerate
 
 
-@dataclass
-class GeneratorReport:
-    index: int
-    kind: str  # "finite" | "zero_to_precision"
-    zero_count: int | None = None
-    count_certified: bool | None = None
-    newton_polygon: list | None = None
-    detail: str | None = None
+class GeneratorReport(_Record):
+    __slots__ = ("index", "kind", "zero_count", "count_certified", "newton_polygon", "detail")
+
+    def __init__(self, index: int, kind: str, zero_count: int | None = None,
+                 count_certified: bool | None = None, newton_polygon: list | None = None,
+                 detail: str | None = None):
+        self.index = index
+        self.kind = kind  # "finite" | "zero_to_precision"
+        self.zero_count = zero_count
+        self.count_certified = count_certified
+        self.newton_polygon = newton_polygon
+        self.detail = detail
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(_Record):
     """Certified outcome.
 
     ``bound`` (when the verdict is ``finite`` and ``bound_certified``) is an
@@ -96,21 +124,32 @@ class AnalysisReport:
     is at most 1.
     """
 
-    verdict: str
-    bound: int | None
-    bound_certified: bool
-    complete: bool | None
-    direct_hits: list
-    n0: int
-    reindexing: list
-    lambdas: list
-    multiplier: PadicNumber
-    isometry_radii: list
-    count_ball_valuation: int | None
-    degenerate: bool
-    generators: list
-    notes: list = field(default_factory=list)
-    detail: str | None = None
+    __slots__ = (
+        "verdict", "bound", "bound_certified", "complete", "direct_hits", "n0", "reindexing",
+        "lambdas", "multiplier", "isometry_radii", "count_ball_valuation", "degenerate",
+        "generators", "notes", "detail",
+    )
+
+    def __init__(self, verdict: str, bound: int | None, bound_certified: bool,
+                 complete: bool | None, direct_hits: list, n0: int, reindexing: list,
+                 lambdas: list, multiplier: PadicNumber, isometry_radii: list,
+                 count_ball_valuation: int | None, degenerate: bool, generators: list,
+                 notes: list | None = None, detail: str | None = None):
+        self.verdict = verdict
+        self.bound = bound
+        self.bound_certified = bound_certified
+        self.complete = complete
+        self.direct_hits = direct_hits
+        self.n0 = n0
+        self.reindexing = reindexing
+        self.lambdas = lambdas
+        self.multiplier = multiplier
+        self.isometry_radii = isometry_radii
+        self.count_ball_valuation = count_ball_valuation
+        self.degenerate = degenerate
+        self.generators = generators
+        self.notes = [] if notes is None else notes
+        self.detail = detail
 
 
 def validate(spec: SystemSpec) -> ValidatedSystem:
@@ -264,16 +303,22 @@ def build_F(validated: ValidatedSystem, lead: int, lambdas: list) -> list:
 
     with the lead coordinate substituted as alpha_lead + w.  Along the orbit,
     w = P_lead^n(x_lead) - alpha_lead reproduces f at the orbit point.  The
-    coordinate series depend only on the orbit, so they are built once.
+    coordinate series depend only on the orbit, so they are built once, and
+    only for the coordinates that some generator reads (a nonzero exponent):
+    ``None`` stands in for every other one, which ``evaluate_series`` never
+    reads.
     """
     spec = validated.spec
     ctx = spec.ctx
     t = spec.truncation
     log_lead = validated.linearizations[lead].log_series
+    read = {i for f in spec.variety for expo in f.terms for i, e in enumerate(expo) if e}
     coords = []
     for i, lin in enumerate(validated.linearizations):
         alpha = lin.fixed_point
-        if i == lead:
+        if i not in read:
+            coords.append(None)
+        elif i == lead:
             coords.append(TruncatedSeries.from_coefficients(ctx, [alpha, ctx.one()], order=t))
         elif lambdas[i].is_zero_to_precision:
             coords.append(TruncatedSeries.constant(ctx, alpha, t))

@@ -8,7 +8,7 @@ distances by exactly |multiplier|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _core
 from .errors import ValidationError
@@ -82,8 +82,11 @@ class Polynomial:
         return f"Polynomial(degree={self.degree})"
 
 
-@dataclass(frozen=True)
-class FixedPointInfo:
+class FixedPointInfo(namedtuple(
+    "FixedPointInfo",
+    "point multiplier classification attracting_radius_valuation",
+    defaults=(None,),
+)):
     """A fixed point with its multiplier and classification.
 
     ``attracting_radius_valuation`` (attracting points only, else None) is the
@@ -91,14 +94,10 @@ class FixedPointInfo:
     {v(z - alpha) >= m}, so every orbit started there converges to alpha.
     """
 
-    point: PadicNumber
-    multiplier: PadicNumber
-    classification: str
-    attracting_radius_valuation: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FixedPointScan:
+class FixedPointScan(namedtuple("FixedPointScan", "points unresolved_residues")):
     """Outcome of the Z_p fixed-point search.
 
     ``unresolved_residues`` lists residues a mod p where P(X) - X vanishes but
@@ -106,8 +105,7 @@ class FixedPointScan:
     silently dropped.
     """
 
-    points: list
-    unresolved_residues: list
+    __slots__ = ()
 
 
 def iterate(P: Polynomial, z: PadicNumber, n: int) -> PadicNumber:

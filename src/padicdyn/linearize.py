@@ -23,8 +23,6 @@ below degree m are never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _core
 from .errors import ValidationError
 from .padic import Ball, INF_BOUND, PadicNumber
@@ -200,18 +198,33 @@ def inverse_koenigs_coefficients(G: Polynomial, order: int, divide=None) -> Trun
     return TruncatedSeries(ctx, t, lv, lu, lk, TailBound(-sigma, sigma))
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class Linearization:
     """Koenigs linearization data at an attracting fixed point."""
 
-    base_poly: Polynomial
-    fixed_point: PadicNumber
-    multiplier: PadicNumber
-    conjugate_poly: Polynomial
-    exp_series: TruncatedSeries
-    log_series: TruncatedSeries
-    convergence_radius_valuation: int
-    isometry_radius_valuation: int
+    __slots__ = (
+        "base_poly", "fixed_point", "multiplier", "conjugate_poly", "exp_series",
+        "log_series", "convergence_radius_valuation", "isometry_radius_valuation",
+    )
+
+    def __init__(
+        self,
+        base_poly: Polynomial,
+        fixed_point: PadicNumber,
+        multiplier: PadicNumber,
+        conjugate_poly: Polynomial,
+        exp_series: TruncatedSeries,
+        log_series: TruncatedSeries,
+        convergence_radius_valuation: int,
+        isometry_radius_valuation: int,
+    ):
+        self.base_poly = base_poly
+        self.fixed_point = fixed_point
+        self.multiplier = multiplier
+        self.conjugate_poly = conjugate_poly
+        self.exp_series = exp_series
+        self.log_series = log_series
+        self.convergence_radius_valuation = convergence_radius_valuation
+        self.isometry_radius_valuation = isometry_radius_valuation
 
     @property
     def isometry_ball(self) -> Ball:

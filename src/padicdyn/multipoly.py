@@ -71,6 +71,8 @@ class MultivariatePoly:
         """Substitute a truncated series for each variable.
 
         Per-variable power tables keep this at O(total degree) series products.
+        A variable with exponent 0 in every term is never read, so its entry
+        may be anything, ``None`` included.
         """
         if len(series_list) != self.nvars:
             raise ValueError("series tuple has wrong arity")

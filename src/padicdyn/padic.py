@@ -14,7 +14,7 @@ on as executable checks: the unit-circle identity ``|b^n - 1| = |b - 1| |n|``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _core
 from .errors import PrecisionError
@@ -88,22 +88,26 @@ def triple_pow(p: int, v: int, u: int, k: int, n: int):
         v, u, k = _core.tr_mul(p, v, u, k, v, u, k)
 
 
-@dataclass(frozen=True)
-class PadicContext:
+class PadicContext(namedtuple("PadicContext", "prime working_precision")):
     """Ambient field Q_p with a relative-precision cap.
 
     prime: the prime p (checked deterministically).
     working_precision: number N of significant base-p digits carried.
     """
 
-    prime: int
-    working_precision: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prime < 2 or not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.working_precision < 1:
+    def __new__(cls, prime: int, working_precision: int):
+        if prime < 2 or not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        if working_precision < 1:
             raise ValueError("working_precision must be >= 1")
+        return super().__new__(cls, prime, working_precision)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and _replace, which calls it) would skip the checks
+        return cls(*iterable)
 
     def zero(self, bound: int | None = None) -> "PadicNumber":
         """Exact zero, or a value known only to be O(p**bound)."""
@@ -296,16 +300,14 @@ class PadicNumber:
         return f"padic(p={p}, v={self._v}, unit={ds}..., prec={self._k})"
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(namedtuple("Ball", "center radius_valuation")):
     """Closed-valuation ball {z : v(z - center) >= radius_valuation}.
 
     An open ball of radius p**(-s) corresponds to the integer cutoff
     floor(s) + 1, so every Ball is contained in the open ball it stands for.
     """
 
-    center: PadicNumber
-    radius_valuation: int
+    __slots__ = ()
 
     def contains(self, z: PadicNumber) -> bool:
         """Exact membership; raises if precision cannot decide."""

@@ -16,7 +16,7 @@ certification rule over inexact coefficients and the affine tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import _core
@@ -26,16 +26,14 @@ from .padic import INF_BOUND, PadicNumber
 _INF = math.inf
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(namedtuple("TailBound", "slope offset")):
     """Affine lower bound slope*n + offset on v(c_n) for all n > T.
 
     ``offset = inf`` means the tail is identically zero (a polynomial).  Every
     bound built here is integral; any exact rationals work as well.
     """
 
-    slope: int
-    offset: int | float
+    __slots__ = ()
 
     @property
     def is_infinite(self) -> bool:
@@ -50,13 +48,10 @@ class TailBound:
 ZERO_TAIL = TailBound(0, _INF)
 
 
-@dataclass(frozen=True)
-class ZeroCount:
+class ZeroCount(namedtuple("ZeroCount", "count certified reason", defaults=(None,))):
     """Result of certified zero counting: a count and whether it is proven."""
 
-    count: int
-    certified: bool
-    reason: str | None = None
+    __slots__ = ()
 
 
 class TruncatedSeries:

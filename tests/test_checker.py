@@ -10,6 +10,7 @@ from padicdyn import (
     PadicNumber,
     Polynomial,
     SystemSpec,
+    TruncatedSeries,
     ValidationError,
     analyze,
     build_F,
@@ -222,6 +223,36 @@ class TestBuildF:
             rhs = gen.evaluate(pts)
             assert (lhs - rhs).is_zero_to_precision, n
             pts = [Pm(z) for Pm, z in zip(spec.maps, pts)]
+
+    def test_unread_coordinate_is_not_composed(self, ctx, P, monkeypatch):
+        # no generator reads X3: its series is never built, and every F equals
+        # the one built from all three coordinate series
+        P2 = Polynomial(ctx, [0, 3, 2, 1])
+        P3 = Polynomial(ctx, [0, 3, 0, 0, 1])
+        gens = [MultivariatePoly(ctx, 3, {(1, 0, 0): 2, (0, 1, 0): -5, (0, 0, 0): 21}),
+                MultivariatePoly(ctx, 3, {(0, 2, 0): 1, (1, 0, 0): -1})]
+        spec = SystemSpec(ctx, [P, P2, P3], [ctx.zero()] * 3,
+                          [ctx.integer(3), ctx.integer(9), ctx.integer(27)], gens, 32, 30)
+        v = validate(spec)
+        perm, lams = compute_lambdas(v)
+        assert perm[0] == 0 and not lams[2].is_zero_to_precision
+        t = spec.truncation
+        log_lead = v.linearizations[0].log_series
+        alpha_lead = v.linearizations[0].fixed_point
+        every = [TruncatedSeries.from_coefficients(ctx, [alpha_lead, ctx.one()], order=t)] + [
+            lin.exp_series.compose(log_lead.scale(lam)) + lin.fixed_point
+            for lin, lam in zip(v.linearizations[1:], lams[1:])
+        ]
+        composed = []
+        real_compose = TruncatedSeries.compose
+        monkeypatch.setattr(TruncatedSeries, "compose",
+                            lambda s, inner: composed.append(s) or real_compose(s, inner))
+        Fs = build_F(v, 0, lams)
+        assert composed == [v.linearizations[1].exp_series]
+        for F, f in zip(Fs, gens, strict=True):
+            want = f.evaluate_series(every, t)
+            assert (F._v, F._u, F._k) == (want._v, want._u, want._k)
+            assert F.tail == want.tail
 
 
 class TestAnalyze:
