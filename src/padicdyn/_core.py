@@ -18,45 +18,50 @@ A sum of products (a convolution coefficient) has a closed form: its absolute
 precision ``A`` is the least absolute precision of its terms, and its value is
 the exact sum of the products reduced modulo ``p**A``.  Adding the terms one
 by one with ``tr_add`` gives the same triple in any order, so ``series_mul``,
-``conv_at`` and ``dot`` compute the closed form directly.
+``conv_at`` and ``dot`` compute the closed form directly, in one pass of
+``_conv``.
+
+Every power of ``p`` comes from one cache, ``_POW_CACHE[p] = [1, p, p**2,
+...]``, which the hot functions index directly and ``_grow`` extends on a
+miss.  Exponents stay below the largest ``k`` among the operands, so the cache
+stays that long plus one: a ``tr_*`` result keeps at most the least ``k`` of
+its operands and reduces modulo that power; ``_conv`` scales its running sum
+by ``p**(old m - new m)`` only while the old ``m`` is below the running
+absolute precision ``a``, which keeps that exponent below the new term's least
+``k``, and it skips every unit*unit term at or above ``a``, which keeps each
+term's offset from ``m`` and the final ``a - m`` below the ``k`` of the term
+that set ``m``.  (Without the skip, operands with valuations 10**4 apart would
+build a cache 2*10**4 powers long.)
 
 Callers look the public functions up as ``_core.<name>`` at call time, so a
 wrapper installed on this module (``checkbench/tracing.py``) sees every call
 from outside the kernel.  It sees none of the kernel's own inner calls because
 no public function calls another: ``series_mul``, ``conv_at`` and ``dot`` call
-the private ``_conv``, and the ``tr_*`` functions call ``_ppow``.  Besides the
-``PadicNumber`` operators and the series code, the direct orbit scan's scalar
-work calls the ``tr_*`` functions directly: ``Polynomial.__call__``
-(``dynamics``), ``MultivariatePoly.evaluate`` (``multipoly``, with
-``padic.triple_pow`` for its powers) and the collapse test of
-``checker.direct_orbit_scan``.  The traced counts include every one of those
-calls.
+the private ``_conv``.  The ``tr_*`` functions are called directly by the
+``PadicNumber`` operators (``padic``, with ``triple_pow`` for powers), the
+series code, the Koenigs divisors (``linearize``) and the direct orbit scan's
+scalar work: ``Polynomial.eval_triple`` (``dynamics``),
+``MultivariatePoly.eval_triples`` (``multipoly``) and the collapse test of
+``checker.direct_orbit_scan``.  Those two evaluation bodies skip a call that
+would return its operand (a product by an exact one, a sum with an exact
+zero), so the traced ``tr_*`` counts hold only the calls that do work.
 """
 
 BACKEND = "pure"
 INF_BOUND = 1 << 40
 
+# p -> [1, p, p**2, ...]; read as _POW_CACHE[p][e], grown by _grow on a miss
 _POW_CACHE = {}
 
 
-def _powers(p, e):
-    """The cached list [1, p, p**2, ...], extended through p**e.
-
-    Exponents are bounded by the operands' precision, so the cache stays as
-    long as the largest ``k`` in use plus one.
-    """
+def _grow(p, e):
+    """The cached list [1, p, p**2, ...] of ``p``, extended through p**e."""
     cache = _POW_CACHE.get(p)
     if cache is None:
-        cache = [1]
-        _POW_CACHE[p] = cache
+        cache = _POW_CACHE[p] = [1]
     while len(cache) <= e:
         cache.append(cache[-1] * p)
     return cache
-
-
-def _ppow(p, e):
-    """p**e from the per-prime cache."""
-    return _powers(p, e)[e]
 
 
 def tr_mul(p, v1, u1, k1, v2, u2, k2):
@@ -66,14 +71,21 @@ def tr_mul(p, v1, u1, k1, v2, u2, k2):
         b = v1 + v2
         return (b if b < INF_BOUND else INF_BOUND, 0, 0)
     k = k1 if k1 < k2 else k2
-    u = (u1 * u2) % _ppow(p, k)
-    return (v1 + v2, u, k)
+    try:
+        pk = _POW_CACHE[p][k]
+    except (KeyError, IndexError):
+        pk = _grow(p, k)[k]
+    return (v1 + v2, (u1 * u2) % pk, k)
 
 
 def tr_neg(p, v, u, k):
     if u == 0:
         return (v, 0, 0)
-    return (v, _ppow(p, k) - u, k)
+    try:
+        pk = _POW_CACHE[p][k]
+    except (KeyError, IndexError):
+        pk = _grow(p, k)[k]
+    return (v, pk - u, k)
 
 
 def tr_add(p, v1, u1, k1, v2, u2, k2):
@@ -88,22 +100,33 @@ def tr_add(p, v1, u1, k1, v2, u2, k2):
         if v1 + k1 <= m:
             return (v1, u1, k1)
         k = m - v1
-        return (v1, u1 % _ppow(p, k), k)
+        try:
+            pk = _POW_CACHE[p][k]
+        except (KeyError, IndexError):
+            pk = _grow(p, k)[k]
+        return (v1, u1 % pk, k)
     if v1 > v2:
         v1, u1, k1, v2, u2, k2 = v2, u2, k2, v1, u1, k1
     if v1 < v2:
         a1 = v1 + k1
         a2 = v2 + k2
-        a = a1 if a1 < a2 else a2
-        k = a - v1
-        pk = _ppow(p, k)
-        if v2 - v1 >= k:
-            u = u1 % pk
-        else:
-            u = (u1 + u2 * _ppow(p, v2 - v1)) % pk
-        return (v1, u, k)
+        k = (a1 if a1 < a2 else a2) - v1
+        try:
+            pw = _POW_CACHE[p]
+            pk = pw[k]
+        except (KeyError, IndexError):
+            pw = _grow(p, k)
+            pk = pw[k]
+        d = v2 - v1
+        if d < k:
+            return (v1, (u1 + u2 * pw[d]) % pk, k)
+        return (v1, u1 % pk, k)
     k = k1 if k1 < k2 else k2
-    s = (u1 + u2) % _ppow(p, k)
+    try:
+        pk = _POW_CACHE[p][k]
+    except (KeyError, IndexError):
+        pk = _grow(p, k)[k]
+    s = (u1 + u2) % pk
     if s == 0:
         return (v1 + k, 0, 0)
     t = 0
@@ -122,7 +145,10 @@ def tr_div(p, v1, u1, k1, v2, u2, k2):
         b = v1 - v2
         return (b if b < INF_BOUND else INF_BOUND, 0, 0)
     k = k1 if k1 < k2 else k2
-    pk = _ppow(p, k)
+    try:
+        pk = _POW_CACHE[p][k]
+    except (KeyError, IndexError):
+        pk = _grow(p, k)[k]
     u = (u1 * pow(u2, -1, pk)) % pk
     return (v1 - v2, u, k)
 
@@ -130,53 +156,72 @@ def tr_div(p, v1, u1, k1, v2, u2, k2):
 def _conv(p, av, au, ak, bv, bu, bk, n, lo, hi):
     """Sum of a[i]*b[n-i] for lo <= i <= hi, in closed form (indices in range).
 
-    A first pass finds the absolute precision ``A`` of the sum (the least
-    absolute precision of its terms) and the least valuation ``m`` of a
-    unit*unit term; a second pass adds the unit*unit terms below ``A`` as one
-    exact integer scaled by ``p**-m`` and reduces it once modulo ``p**(A - m)``.
-    Every power used has exponent below ``A - m``, which is at most the largest
-    ``k`` among the operands.
+    One pass keeps three running values: the least absolute precision ``a``
+    of the terms so far, the least valuation ``m`` of a unit*unit term, and the
+    exact sum ``s`` of the unit*unit terms scaled by ``p**-m``.  The result is
+    ``s`` reduced once modulo ``p**(a - m)``.  A unit*unit term at or above the
+    running ``a`` is skipped: ``a`` only falls, so the term vanishes modulo the
+    final ``p**(a - m)`` and cannot lower ``a``.  When ``m`` falls, ``s`` is
+    scaled up by ``p**(old m - new m)``, or restarts when the old ``m`` is at
+    or above ``a`` (every term in ``s`` vanishes then).  A term with an
+    inexact-zero factor only bounds ``a``; one with an exact-zero factor adds
+    nothing.
     """
+    pw = _POW_CACHE.get(p) or _grow(p, 0)
     a = INF_BOUND
     m = INF_BOUND
+    s = 0
+    j = n - lo
     for i in range(lo, hi + 1):
         ui = au[i]
-        vi = av[i]
-        if ui == 0 and vi >= INF_BOUND:
-            continue
-        j = n - i
-        uj = bu[j]
-        vj = bv[j]
-        if uj == 0 and vj >= INF_BOUND:
-            continue
-        vi += vj  # the term's valuation, or its bound if a factor is an inexact zero
-        if ui != 0 and uj != 0:
-            if vi < m:
-                m = vi
-            ki = ak[i]
-            kj = bk[j]
-            vi += ki if ki < kj else kj
-        if vi < a:
-            a = vi
+        if ui:
+            uj = bu[j]
+            if uj:
+                v = av[i] + bv[j]
+                if v < a:
+                    ki = ak[i]
+                    kj = bk[j]
+                    ki = v + (ki if ki < kj else kj)
+                    if ki < a:
+                        a = ki
+                    if v == m:
+                        s += ui * uj
+                    elif v > m:
+                        e = v - m  # below a - m
+                        try:
+                            s += ui * uj * pw[e]
+                        except IndexError:
+                            s += ui * uj * _grow(p, e)[e]
+                    else:
+                        if m < a:
+                            e = m - v  # below this term's least k
+                            try:
+                                s = s * pw[e] + ui * uj
+                            except IndexError:
+                                s = s * _grow(p, e)[e] + ui * uj
+                        else:
+                            s = ui * uj
+                        m = v
+            else:
+                v = bv[j]
+                if v < INF_BOUND:
+                    v += av[i]
+                    if v < a:
+                        a = v
+        else:
+            v = av[i]
+            if v < INF_BOUND and (bu[j] or bv[j] < INF_BOUND):
+                v += bv[j]
+                if v < a:
+                    a = v
+        j -= 1
     if m >= a:
         return (a, 0, 0)
     e = a - m
-    pw = _powers(p, e)
-    s = 0
-    for i in range(lo, hi + 1):
-        ui = au[i]
-        if ui == 0:
-            continue
-        j = n - i
-        uj = bu[j]
-        if uj == 0:
-            continue
-        d = av[i] + bv[j] - m
-        if d == 0:
-            s += ui * uj
-        elif d < e:
-            s += ui * uj * pw[d]
-    s %= pw[e]
+    try:
+        s %= pw[e]
+    except IndexError:
+        s %= _grow(p, e)[e]
     if s == 0:
         return (a, 0, 0)
     while s % p == 0:
@@ -196,19 +241,34 @@ def series_mul(p, av, au, ak, bv, bu, bk, t_out):
     of the products reduced modulo ``p**A_n``.  A sum that vanishes modulo
     ``p**A_n`` is the zero triple ``(A_n, 0, 0)``.  The result equals adding
     the ``tr_mul`` products one by one with ``tr_add``, in any order.
+
+    Trailing exact zeros of either operand are dropped first, and every
+    coefficient above deg(a) + deg(b) is an exact zero with no ``_conv`` call.
     """
-    n_a = len(av)
-    n_b = len(bv)
+    da = len(av) - 1
+    while da >= 0 and au[da] == 0 and av[da] >= INF_BOUND:
+        da -= 1
+    db = len(bv) - 1
+    while db >= 0 and bu[db] == 0 and bv[db] >= INF_BOUND:
+        db -= 1
+    top = da + db if da >= 0 and db >= 0 else -1
+    if top > t_out:
+        top = t_out
     cv = []
     cu = []
     ck = []
-    for n in range(t_out + 1):
-        lo = 0 if n < n_b else n - n_b + 1
-        hi = n if n < n_a else n_a - 1
+    for n in range(top + 1):
+        lo = 0 if n <= db else n - db
+        hi = n if n < da else da
         v, u, k = _conv(p, av, au, ak, bv, bu, bk, n, lo, hi)
         cv.append(v)
         cu.append(u)
         ck.append(k)
+    pad = t_out - top
+    if pad > 0:
+        cv += [INF_BOUND] * pad
+        cu += [0] * pad
+        ck += [0] * pad
     return cv, cu, ck
 
 

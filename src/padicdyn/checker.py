@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from . import _core
 from .errors import PrecisionError, ValidationError
-from .padic import PadicContext, PadicNumber
+from .padic import INF_BOUND, PadicContext, PadicNumber
 from .linearize import linearize
 from .series import TruncatedSeries
 
@@ -231,26 +231,38 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     if n_max is None:
         n_max = spec.max_direct_iterations
     p = spec.ctx.prime
+    maps = [P.eval_triple for P in spec.maps]
+    variety = [f.eval_triples for f in spec.variety]
     # z - alpha is z + (-alpha): negate each fixed point once, then the
-    # collapse test is one tr_add per coordinate per step
+    # collapse test is one tr_add per coordinate per step.  At alpha = 0 exactly
+    # the sum is z itself whenever z's absolute precision is at most INF_BOUND,
+    # so z's unit decides with no call.
     neg_alphas = [_core.tr_neg(p, a._v, a._u, a._k) for a in spec.fixed_points]
-    cur = list(spec.start)
-    resolved = [
-        _core.tr_add(p, x._v, x._u, x._k, *na)[1] != 0 for x, na in zip(cur, neg_alphas)
-    ]
+    cur = [(x._v, x._u, x._k) for x in spec.start]
+    # a coordinate that starts indistinguishable from alpha is never tested
+    resolved = [True] * len(cur)
     hits = []
     for n in range(n_max + 1):
         if n > 0:
-            cur = [P(z) for P, z in zip(spec.maps, cur)]
-        for i, (z, na) in enumerate(zip(cur, neg_alphas)):
-            if resolved[i] and _core.tr_add(p, z._v, z._u, z._k, *na)[1] == 0:
-                exc = PrecisionError(
-                    f"orbit coordinate {i + 1} collapsed below working precision"
-                    f" at index {n}: raise the precision to scan further"
-                )
-                exc.failing_index = n
-                raise exc
-        if all(f.evaluate(cur).is_zero_to_precision for f in spec.variety):
+            cur = [P(*z) for P, z in zip(maps, cur)]
+        for i, (zv, zu, zk) in enumerate(cur):
+            if not resolved[i]:
+                continue
+            nv, nu, nk = neg_alphas[i]
+            if nu or nv < INF_BOUND or zv + zk > INF_BOUND:
+                zu = _core.tr_add(p, zv, zu, zk, nv, nu, nk)[1]
+            if zu:
+                continue
+            if n == 0:
+                resolved[i] = False
+                continue
+            exc = PrecisionError(
+                f"orbit coordinate {i + 1} collapsed below working precision"
+                f" at index {n}: raise the precision to scan further"
+            )
+            exc.failing_index = n
+            raise exc
+        if all(f(cur)[1] == 0 for f in variety):
             hits.append(n)
     return hits
 

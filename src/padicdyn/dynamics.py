@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from . import _core
 from .errors import ValidationError
-from .padic import PadicContext, PadicNumber
+from .padic import INF_BOUND, PadicContext, PadicNumber
 
 ATTRACTING = "attracting"
 SUPERATTRACTING = "superattracting"
@@ -27,12 +27,14 @@ class Polynomial:
 
     Constants only arise internally (as derivatives of linear maps) and are
     admitted through ``allow_constant``; dynamics always takes degree >= 1.
+    The coefficients are fixed at construction, which also builds their
+    (v, u, k) triples for ``eval_triple``.
     """
 
-    __slots__ = ("ctx", "coefficients")
+    __slots__ = ("ctx", "coefficients", "_top", "_below")
 
     def __init__(self, ctx: PadicContext, coefficients, allow_constant=False):
-        coeffs = [c if isinstance(c, PadicNumber) else ctx.integer(c) for c in coefficients]
+        coeffs = [ctx.element(c) for c in coefficients]
         while len(coeffs) > 1 and coeffs[-1].is_exact_zero:
             coeffs.pop()
         if len(coeffs) < 2 and not allow_constant:
@@ -41,26 +43,40 @@ class Polynomial:
             raise ValidationError("leading coefficient must be certified nonzero")
         self.ctx = ctx
         self.coefficients = coeffs
+        # Horner's triples: the top coefficient, then the others from the top down
+        self._top = (coeffs[-1]._v, coeffs[-1]._u, coeffs[-1]._k)
+        self._below = [(c._v, c._u, c._k) for c in reversed(coeffs[:-1])]
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def __call__(self, z: PadicNumber) -> PadicNumber:
-        """Horner's rule on (v, u, k) triples: acc = acc*z + c, from the top."""
-        coeffs = self.coefficients
-        acc = coeffs[-1]
-        z = acc._coerce(z)
+        """Value at a PadicNumber or an int, by ``eval_triple``."""
+        z = self.coefficients[-1]._coerce(z)
         if z is None:
             raise TypeError("a polynomial is evaluated at a PadicNumber or an int")
-        p = self.ctx.prime
-        zv, zu, zk = z._v, z._u, z._k
-        v, u, k = acc._v, acc._u, acc._k
-        for i in range(len(coeffs) - 2, -1, -1):
-            c = coeffs[i]
-            v, u, k = _core.tr_mul(p, v, u, k, zv, zu, zk)
-            v, u, k = _core.tr_add(p, v, u, k, c._v, c._u, c._k)
+        v, u, k = self.eval_triple(z._v, z._u, z._k)
         return PadicNumber(self.ctx, v, u, k)
+
+    def eval_triple(self, zv, zu, zk):
+        """Horner's rule on (v, u, k) triples: acc = acc*z + c, from the top.
+
+        A kernel call that would return its operand is skipped: acc*z when acc
+        is exactly (0, 1, k) and z is a unit with at most k digits or a zero
+        bounded at most at INF_BOUND, and acc + c when c is an exact zero and
+        acc's absolute precision is at most INF_BOUND.
+        """
+        p = self.ctx.prime
+        v, u, k = self._top
+        for cv, cu, ck in self._below:
+            if u == 1 and v == 0 and (zk <= k if zu else zv <= INF_BOUND):
+                v, u, k = zv, zu, zk
+            else:
+                v, u, k = _core.tr_mul(p, v, u, k, zv, zu, zk)
+            if cu or cv < INF_BOUND or v + k > INF_BOUND:
+                v, u, k = _core.tr_add(p, v, u, k, cv, cu, ck)
+        return v, u, k
 
     def derivative(self) -> "Polynomial":
         return Polynomial(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import _core
-from .padic import PadicContext, PadicNumber, triple_pow
+from .padic import INF_BOUND, PadicContext, PadicNumber, triple_pow
 from .series import TruncatedSeries
 
 
@@ -12,10 +12,11 @@ class MultivariatePoly:
 
     Exactly-zero coefficients are dropped at construction; a coefficient that
     is merely zero to precision is rejected (generators must be given exactly,
-    e.g. from rational input).
+    e.g. from rational input).  The terms are fixed at construction, which
+    also builds their triples for ``eval_triples``.
     """
 
-    __slots__ = ("ctx", "nvars", "terms")
+    __slots__ = ("ctx", "nvars", "terms", "_monomials")
 
     def __init__(self, ctx: PadicContext, nvars: int, terms):
         if nvars < 1:
@@ -27,8 +28,7 @@ class MultivariatePoly:
             expo = tuple(int(e) for e in expo)
             if len(expo) != nvars or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent vector {expo}")
-            if not isinstance(coeff, PadicNumber):
-                coeff = ctx.integer(coeff)
+            coeff = ctx.element(coeff)
             if coeff.is_exact_zero:
                 continue
             if coeff.is_zero_to_precision:
@@ -37,16 +37,17 @@ class MultivariatePoly:
                 raise ValueError(f"duplicate exponent vector {expo}")
             clean[expo] = coeff
         self.terms = clean
+        # per term: its coefficient's triple and the (variable, exponent) pairs with exponent > 0
+        self._monomials = [
+            ((c._v, c._u, c._k), [(i, e) for i, e in enumerate(expo) if e])
+            for expo, c in clean.items()
+        ]
 
     def __repr__(self):
         return f"MultivariatePoly(nvars={self.nvars}, {len(self.terms)} terms)"
 
     def evaluate(self, point) -> PadicNumber:
-        """Value at a tuple of g scalars (PadicNumbers or ints).
-
-        Runs on (v, u, k) triples: each term is its coefficient times the
-        powers in variable order, added to the sum in term order.
-        """
+        """Value at a tuple of g scalars (PadicNumbers or ints), by ``eval_triples``."""
         if len(point) != self.nvars:
             raise ValueError("point has wrong arity")
         zero = self.ctx.zero()
@@ -56,16 +57,35 @@ class MultivariatePoly:
             if x is None:
                 raise TypeError("a generator is evaluated at PadicNumbers or ints")
             xs.append((x._v, x._u, x._k))
+        v, u, k = self.eval_triples(xs)
+        return PadicNumber(self.ctx, v, u, k)
+
+    def eval_triples(self, xs):
+        """Value at a list of g (v, u, k) triples, as a triple.
+
+        Each term is its coefficient times the powers in variable order, added
+        to the sum in term order.  A kernel call that would return its operand
+        is skipped: a product by a term that is exactly (0, 1, k) when the power
+        is a unit with at most k digits or a zero bounded at most at INF_BOUND,
+        and the first addition to the empty sum (an exact zero) when the term's
+        absolute precision is at most INF_BOUND.
+        """
         p = self.ctx.prime
-        av, au, ak = zero._v, zero._u, zero._k
-        for expo, coeff in self.terms.items():
-            tv, tu, tk = coeff._v, coeff._u, coeff._k
-            for (xv, xu, xk), e in zip(xs, expo):
-                if e:
+        av, au, ak = INF_BOUND, 0, 0
+        for (tv, tu, tk), powers in self._monomials:
+            for i, e in powers:
+                xv, xu, xk = xs[i]
+                if e > 1:
                     xv, xu, xk = triple_pow(p, xv, xu, xk, e)
+                if tu == 1 and tv == 0 and (xk <= tk if xu else xv <= INF_BOUND):
+                    tv, tu, tk = xv, xu, xk
+                else:
                     tv, tu, tk = _core.tr_mul(p, tv, tu, tk, xv, xu, xk)
-            av, au, ak = _core.tr_add(p, av, au, ak, tv, tu, tk)
-        return PadicNumber(self.ctx, av, au, ak)
+            if au or av < INF_BOUND or tv + tk > INF_BOUND:
+                av, au, ak = _core.tr_add(p, av, au, ak, tv, tu, tk)
+            else:
+                av, au, ak = tv, tu, tk
+        return av, au, ak
 
     def evaluate_series(self, series_list, order: int) -> TruncatedSeries:
         """Substitute a truncated series for each variable.

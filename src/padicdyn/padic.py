@@ -113,6 +113,15 @@ class PadicContext(namedtuple("PadicContext", "prime working_precision")):
         """Exact zero, or a value known only to be O(p**bound)."""
         return PadicNumber(self, INF_BOUND if bound is None else min(bound, INF_BOUND), 0, 0)
 
+    def element(self, x) -> "PadicNumber":
+        """``x`` as a number of this context: a PadicNumber of this context as
+        it is, anything else through ``integer``; another context raises."""
+        if isinstance(x, PadicNumber):
+            if x.ctx is not self and x.ctx != self:
+                raise ValueError("operands from different p-adic contexts")
+            return x
+        return self.integer(x)
+
     def one(self) -> "PadicNumber":
         return PadicNumber(self, 0, 1, self.working_precision)
 
@@ -192,12 +201,8 @@ class PadicNumber:
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, PadicNumber):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise ValueError("operands from different p-adic contexts")
-            return other
-        if isinstance(other, int):
-            return self.ctx.integer(other)
+        if isinstance(other, (PadicNumber, int)):
+            return self.ctx.element(other)
         return None
 
     def __add__(self, other):

@@ -81,7 +81,7 @@ class TruncatedSeries:
     @classmethod
     def from_coefficients(cls, ctx, coefficients, order=None, tail=ZERO_TAIL):
         """Series with the given low-order coefficients (ints are coerced)."""
-        coeffs = [c if isinstance(c, PadicNumber) else ctx.integer(c) for c in coefficients]
+        coeffs = [ctx.element(c) for c in coefficients]
         if order is None:
             order = len(coeffs) - 1
         vals, units, precs = [], [], []
@@ -172,7 +172,7 @@ class TruncatedSeries:
 
     def __add__(self, other):
         if isinstance(other, (PadicNumber, int)):
-            c = other if isinstance(other, PadicNumber) else self.ctx.integer(other)
+            c = self.ctx.element(other)
             vals = list(self._v)
             units = list(self._u)
             precs = list(self._k)
@@ -213,14 +213,12 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         if isinstance(other, (PadicNumber, int)):
-            c = other if isinstance(other, PadicNumber) else self.ctx.integer(other)
-            return self + (-c)
+            return self + (-self.ctx.element(other))
         return self + (-other)
 
     def scale(self, scalar: PadicNumber) -> "TruncatedSeries":
         """Multiply every coefficient by a scalar."""
-        if not isinstance(scalar, PadicNumber):
-            scalar = self.ctx.integer(scalar)
+        scalar = self.ctx.element(scalar)
         if scalar.is_exact_zero:
             return TruncatedSeries.zero(self.ctx, self._t)
         p = self.ctx.prime
@@ -252,8 +250,7 @@ class TruncatedSeries:
         da = a._degree_bound()
         db = b._degree_bound()
         vals, units, precs = _core.series_mul(
-            self.ctx.prime, a._v[:da + 1], a._u[:da + 1], a._k[:da + 1],
-            b._v[:db + 1], b._u[:db + 1], b._k[:db + 1], t
+            self.ctx.prime, a._v, a._u, a._k, b._v, b._u, b._k, t
         )
         if a.tail.is_infinite and b.tail.is_infinite and da + db <= t:
             tail = ZERO_TAIL  # a product of polynomials that nothing truncated
@@ -280,17 +277,14 @@ class TruncatedSeries:
         t = min(self._t, inner._t)
         inner_t = inner.truncate(t)
         p = self.ctx.prime
-        d_inner = inner_t._degree_bound()
-        iv, iu, ik = inner_t._v[:d_inner + 1], inner_t._u[:d_inner + 1], inner_t._k[:d_inner + 1]
         # Horner on coefficient arrays, highest coefficient first.  The
         # accumulator at step i reaches only degrees <= t - i of the result, and
         # outer coefficients above t meet only exact zeros.  The last step
         # leaves t + 1 coefficients, and when no step runs t is 0.
         vals, units, precs = [self._v[t]], [self._u[t]], [self._k[t]]
         for i in range(t - 1, -1, -1):
-            deg = t - i
             vals, units, precs = _core.series_mul(
-                p, iv[:deg + 1], iu[:deg + 1], ik[:deg + 1], vals, units, precs, deg
+                p, inner_t._v, inner_t._u, inner_t._k, vals, units, precs, t - i
             )
             vals[0], units[0], precs[0] = _core.tr_add(
                 p, vals[0], units[0], precs[0], self._v[i], self._u[i], self._k[i]
@@ -299,6 +293,7 @@ class TruncatedSeries:
         s_in, b_in = inner_t._envelope(1)
         s_o, b_o = self._envelope(1)
         d_self = self._degree_bound()
+        d_inner = inner_t._degree_bound()
         if b_o == _INF or b_in == _INF:
             # outer constant, or inner identically zero: composition is exact
             tail = ZERO_TAIL

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from padicdyn import (
     Ball,
+    MultivariatePoly,
     PadicContext,
+    Polynomial,
     PrecisionError,
+    TruncatedSeries,
     is_prime,
     norm_identity_check,
     schinzel_valuation,
@@ -53,6 +56,51 @@ class TestContext:
         # psi_13 passes all 13 bases 2..41: outside the proven range
         with pytest.raises(ValueError):
             is_prime(3317044064679887385961981)
+
+
+class TestForeignContext:
+    """A number from another context is refused wherever a constructor or a
+    series operator takes one; read as triples it would be silently wrong."""
+
+    @pytest.fixture
+    def foreign(self):
+        return PadicContext(5, 32).integer(5)
+
+    def test_the_wrong_answer_it_prevents(self, c3, c5):
+        # 5*3 + 9 = 24 has v_3 = 1; the foreign 5 read as a 3-adic triple gives v = 2
+        assert Polynomial(c3, [0, c3.integer(5), 1])(3).valuation == 1
+        with pytest.raises(ValueError, match="different p-adic contexts"):
+            Polynomial(c3, [0, c5.integer(5), 1])
+
+    def test_constructors_refuse_it(self, c3, foreign):
+        with pytest.raises(ValueError, match="different p-adic contexts"):
+            Polynomial(c3, [foreign, 1])
+        with pytest.raises(ValueError, match="different p-adic contexts"):
+            MultivariatePoly(c3, 1, {(1,): foreign})
+        with pytest.raises(ValueError, match="different p-adic contexts"):
+            TruncatedSeries.from_coefficients(c3, [1, foreign])
+        with pytest.raises(ValueError, match="different p-adic contexts"):
+            TruncatedSeries.constant(c3, foreign, 4)
+
+    @pytest.mark.parametrize("op", [
+        lambda s, x: s + x,
+        lambda s, x: x + s,
+        lambda s, x: s - x,
+        lambda s, x: s * x,
+        lambda s, x: x * s,
+        lambda s, x: s.scale(x),
+    ], ids=["s+x", "x+s", "s-x", "s*x", "x*s", "scale"])
+    def test_series_scalar_operators_refuse_it(self, c3, foreign, op):
+        s = TruncatedSeries.from_coefficients(c3, [1, 3, 9])
+        with pytest.raises(ValueError, match="different p-adic contexts"):
+            op(s, foreign)
+
+    def test_an_equal_context_is_the_same_context(self, c3):
+        twin = PadicContext(3, 32)
+        P = Polynomial(c3, [twin.integer(2), 1])
+        assert P(1).valuation == 1
+        s = TruncatedSeries.from_coefficients(c3, [1, 1]) + twin.integer(2)
+        assert s.coefficient(0).valuation == 1
 
 
 class TestFromRational:
