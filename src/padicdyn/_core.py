@@ -21,17 +21,29 @@ by one with ``tr_add`` gives the same triple in any order, so ``series_mul``,
 ``conv_at`` and ``dot`` compute the closed form directly, in one pass of
 ``_conv``.
 
+``tr_add`` computes only the digits that reach its result.  In a shifted sum
+(valuations ``v1 < v2``, ``d = v2 - v1 < k`` for the result's ``k``) only the
+low ``k - d`` digits of ``u2`` survive, so ``u2`` is reduced modulo
+``p**(k - d)`` only when it is at least that, ``u1`` only when it is at least
+``p**k`` (never when ``k`` is its own ``k1``), and the sum, below ``2*p**k``,
+needs one conditional subtraction instead of a final ``% p**k``.  A sum that
+cancels to ``t`` digits, in ``tr_add`` and in ``_conv``, finds ``t`` with
+``_strip``: O(log t) divisions by p, p**2, p**4, ... and back down, where
+dividing by p once per digit took t divisions of a number of up to k digits.
+
 Every power of ``p`` comes from one cache, ``_POW_CACHE[p] = [1, p, p**2,
 ...]``, which the hot functions index directly and ``_grow`` extends on a
-miss.  Exponents stay below the largest ``k`` among the operands, so the cache
+miss. Exponents stay below the largest ``k`` among the operands, so the cache
 stays that long plus one: a ``tr_*`` result keeps at most the least ``k`` of
-its operands and reduces modulo that power; ``_conv`` scales its running sum
-by ``p**(old m - new m)`` only while the old ``m`` is below the running
-absolute precision ``a``, which keeps that exponent below the new term's least
-``k``, and it skips every unit*unit term at or above ``a``, which keeps each
-term's offset from ``m`` and the final ``a - m`` below the ``k`` of the term
-that set ``m``.  (Without the skip, operands with valuations 10**4 apart would
-build a cache 2*10**4 powers long.)
+its operands and reduces modulo that power; a shifted sum reads ``p**d`` and
+``p**(k - d)`` with ``0 < d < k``; ``_strip`` reads only powers below the
+``k`` it strips from, since a nonzero residue modulo ``p**k`` has valuation
+below ``k``; ``_conv`` scales its running sum by ``p**(old m - new m)`` only
+while the old ``m`` is below the running absolute precision ``a``, which keeps
+that exponent below the new term's least ``k``, and it skips every unit*unit
+term at or above ``a``, which keeps each term's offset from ``m`` and the
+final ``a - m`` below the ``k`` of the term that set ``m``. (Without the skip,
+operands with valuations 10**4 apart would build a cache 2*10**4 powers long.)
 
 Callers look the public functions up as ``_core.<name>`` at call time, so a
 wrapper installed on this module (``checkbench/tracing.py``) sees every call
@@ -62,6 +74,32 @@ def _grow(p, e):
     while len(cache) <= e:
         cache.append(cache[-1] * p)
     return cache
+
+
+def _strip(pw, s, k):
+    """(t, s // p**t) for the valuation t of 0 < s < p**k when p divides s.
+
+    The exponent doubles while p**t still divides what is left (t = 1, 2, 4,
+    ...), then the remainder, below the last t, is found by halving: O(log t)
+    divisions, each of the quotient so far.  ``pw`` is the cached list of
+    powers of p through p**k; every index read is below k.
+    """
+    s //= pw[1]
+    t = 1
+    while t + t < k:
+        q, r = divmod(s, pw[t])
+        if r:
+            break
+        s = q
+        t += t
+    h = t
+    while h > 1:
+        h >>= 1
+        q, r = divmod(s, pw[h])
+        if not r:
+            s = q
+            t += h
+    return t, s
 
 
 def tr_mul(p, v1, u1, k1, v2, u2, k2):
@@ -117,22 +155,30 @@ def tr_add(p, v1, u1, k1, v2, u2, k2):
         except (KeyError, IndexError):
             pw = _grow(p, k)
             pk = pw[k]
+        if u1 >= pk:
+            u1 %= pk
         d = v2 - v1
         if d < k:
-            return (v1, (u1 + u2 * pw[d]) % pk, k)
-        return (v1, u1 % pk, k)
+            # only the low k - d digits of u2 reach the result
+            r = pw[k - d]
+            if u2 >= r:
+                u2 %= r
+            s = u1 + u2 * pw[d]
+            return (v1, s - pk if s >= pk else s, k)
+        return (v1, u1, k)
     k = k1 if k1 < k2 else k2
     try:
-        pk = _POW_CACHE[p][k]
+        pw = _POW_CACHE[p]
+        pk = pw[k]
     except (KeyError, IndexError):
-        pk = _grow(p, k)[k]
+        pw = _grow(p, k)
+        pk = pw[k]
     s = (u1 + u2) % pk
     if s == 0:
         return (v1 + k, 0, 0)
-    t = 0
-    while s % p == 0:
-        s //= p
-        t += 1
+    if s % p:
+        return (v1, s, k)
+    t, s = _strip(pw, s, k)
     return (v1 + t, s, k - t)
 
 
@@ -224,11 +270,10 @@ def _conv(p, av, au, ak, bv, bu, bk, n, lo, hi):
         s %= _grow(p, e)[e]
     if s == 0:
         return (a, 0, 0)
-    while s % p == 0:
-        s //= p
-        m += 1
-        e -= 1
-    return (m, s, e)
+    if s % p:
+        return (m, s, e)
+    t, s = _strip(pw, s, e)
+    return (m + t, s, e - t)
 
 
 def series_mul(p, av, au, ak, bv, bu, bk, t_out):

@@ -79,25 +79,29 @@ def _check_headroom(G: Polynomial, order: int):
 
 
 def _koenigs_divisor(a1: PadicNumber, order: int):
-    """divide(n, s) = s / (a1^n - a1) for 2 <= n <= order.
+    """divide(n, s) = s / (a1^n - a1) for 2 <= n <= order, as one product.
 
-    a1^n - a1 = a1 * (a1^{n-1} - 1) and the second factor is a unit, so s is
-    divided by a1 and then by that unit; a1^{n-1} is carried incrementally
-    and -1 is formed once.
+    D_n = a1^n - a1 = a1 * (a1^{n-1} - 1), the second factor a unit;
+    a1^{n-1} is carried incrementally and -1 is formed once.  Each 1/D_n is
+    formed here, with a one carrying D_n's k digits, so s * (1/D_n) is the
+    triple of dividing s by a1 and then by the unit: both keep the least k of
+    s, a1 and the unit, and both units are u_s / (u_a1 * u_unit) modulo that
+    power of p.
     """
     p = a1.ctx.prime
     av, au, ak = a1._v, a1._u, a1._k
     one = a1.ctx.one()
     neg_one = _core.tr_neg(p, one._v, one._u, one._k)
-    units = [None, None]
+    inverses = [None, None]
     pv, pu, pk = av, au, ak
     for _ in range(2, order + 1):
-        units.append(_core.tr_add(p, pv, pu, pk, *neg_one))
+        unit = _core.tr_add(p, pv, pu, pk, *neg_one)
+        dv, du, dk = _core.tr_mul(p, av, au, ak, *unit)
+        inverses.append(_core.tr_div(p, 0, 1, dk, dv, du, dk))
         pv, pu, pk = _core.tr_mul(p, pv, pu, pk, av, au, ak)
 
     def divide(n, s):
-        v, u, k = _core.tr_div(p, *s, av, au, ak)
-        return _core.tr_div(p, v, u, k, *units[n])
+        return _core.tr_mul(p, *s, *inverses[n])
 
     return divide
 

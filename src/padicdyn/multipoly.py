@@ -13,7 +13,10 @@ class MultivariatePoly:
     Exactly-zero coefficients are dropped at construction; a coefficient that
     is merely zero to precision is rejected (generators must be given exactly,
     e.g. from rational input).  The terms are fixed at construction, which
-    also builds their triples for ``eval_triples``.
+    also builds their triples for ``eval_triples``.  ``terms`` keeps each
+    coefficient as given; a term with a variable stores its coefficient's unit
+    as the smaller of u and p**k - u, with a sign, so that -x is a product by
+    (0, 1, k) and one ``tr_neg`` rather than an N-digit product by p**N - 1.
     """
 
     __slots__ = ("ctx", "nvars", "terms", "_monomials")
@@ -37,11 +40,17 @@ class MultivariatePoly:
                 raise ValueError(f"duplicate exponent vector {expo}")
             clean[expo] = coeff
         self.terms = clean
-        # per term: its coefficient's triple and the (variable, exponent) pairs with exponent > 0
-        self._monomials = [
-            ((c._v, c._u, c._k), [(i, e) for i, e in enumerate(expo) if e])
-            for expo, c in clean.items()
-        ]
+        # per term: whether it is negated, its coefficient's triple with the
+        # smaller unit of +-c, and the (variable, exponent) pairs with exponent > 0
+        p = ctx.prime
+        self._monomials = []
+        for expo, c in clean.items():
+            powers = [(i, e) for i, e in enumerate(expo) if e]
+            u = c._u
+            negated = bool(powers) and p**c._k - u < u
+            if negated:
+                u = p**c._k - u
+            self._monomials.append((negated, (c._v, u, c._k), powers))
 
     def __repr__(self):
         return f"MultivariatePoly(nvars={self.nvars}, {len(self.terms)} terms)"
@@ -64,15 +73,19 @@ class MultivariatePoly:
         """Value at a list of g (v, u, k) triples, as a triple.
 
         Each term is its coefficient times the powers in variable order, added
-        to the sum in term order.  A kernel call that would return its operand
-        is skipped: a product by a term that is exactly (0, 1, k) when the power
-        is a unit with at most k digits or a zero bounded at most at INF_BOUND,
-        and the first addition to the empty sum (an exact zero) when the term's
-        absolute precision is at most INF_BOUND.
+        to the sum in term order.  A negated term multiplies by -c and negates
+        the product once: -(c*x) and (-c)*x are the same triple, because a
+        product keeps the lesser k of its factors and a unit product is never
+        0 modulo p**k.  A kernel call that would return its operand is skipped:
+        a product by a term that is exactly (0, 1, k), so also by a coefficient
+        -1, when the power is a unit with at most k digits or a zero bounded at
+        most at INF_BOUND, the negation of a zero, and the first addition to
+        the empty sum (an exact zero) when the term's absolute precision is at
+        most INF_BOUND.
         """
         p = self.ctx.prime
         av, au, ak = INF_BOUND, 0, 0
-        for (tv, tu, tk), powers in self._monomials:
+        for negated, (tv, tu, tk), powers in self._monomials:
             for i, e in powers:
                 xv, xu, xk = xs[i]
                 if e > 1:
@@ -81,6 +94,8 @@ class MultivariatePoly:
                     tv, tu, tk = xv, xu, xk
                 else:
                     tv, tu, tk = _core.tr_mul(p, tv, tu, tk, xv, xu, xk)
+            if negated and tu:
+                tv, tu, tk = _core.tr_neg(p, tv, tu, tk)
             if au or av < INF_BOUND or tv + tk > INF_BOUND:
                 av, au, ak = _core.tr_add(p, av, au, ak, tv, tu, tk)
             else:
@@ -90,25 +105,38 @@ class MultivariatePoly:
     def evaluate_series(self, series_list, order: int) -> TruncatedSeries:
         """Substitute a truncated series for each variable.
 
-        Per-variable power tables keep this at O(total degree) series products.
-        A variable with exponent 0 in every term is never read, so its entry
-        may be anything, ``None`` included.
+        Each power a term needs is built by square and multiply, one table per
+        variable shared by all terms: S^e = S^(e-1) * S for odd e and for
+        e = 2, and S^(e/2) * S^(e/2) for even e >= 4, from S^0 = 1.  So S^e
+        costs O(log e) series products, and S, S^2 and S^3 are the products
+        of multiplying by S one factor at a time.  A variable with exponent 0
+        in every term is never read, so its entry may be anything, ``None``
+        included.
         """
         if len(series_list) != self.nvars:
             raise ValueError("series tuple has wrong arity")
         one = TruncatedSeries.constant(self.ctx, self.ctx.one(), order)
-        powers = []
-        for i, s in enumerate(series_list):
-            max_e = max((expo[i] for expo in self.terms), default=0)
-            table = [one]
-            for _ in range(max_e):
-                table.append(table[-1] * s.truncate(order))
-            powers.append(table)
         acc = TruncatedSeries.zero(self.ctx, order)
+        powers = {}  # variable -> (its series truncated at order, {exponent: power})
         for expo, coeff in self.terms.items():
             term = TruncatedSeries.constant(self.ctx, coeff, order)
             for i, e in enumerate(expo):
                 if e:
-                    term = term * powers[i][e]
+                    if i not in powers:
+                        powers[i] = (series_list[i].truncate(order), {0: one})
+                    term = term * _series_power(*powers[i], e)
             acc = acc + term
         return acc
+
+
+def _series_power(s, table, e):
+    """s**e from ``table`` (exponent -> power, holding 0 -> one), which it extends."""
+    power = table.get(e)
+    if power is None:
+        if e % 2 or e == 2:
+            power = _series_power(s, table, e - 1) * s
+        else:
+            half = _series_power(s, table, e // 2)
+            power = half * half
+        table[e] = power
+    return power

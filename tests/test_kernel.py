@@ -8,7 +8,8 @@ triple the kernel returns.  Every certificate downstream assumes this.
 
 The closed-form convolution behind ``series_mul``, ``conv_at`` and ``dot``
 must also return exactly the triples of the schoolbook loops kept below, which
-add the ``tr_mul`` products one by one with ``tr_add``.
+add the ``tr_mul`` products one by one with ``tr_add``, and ``tr_add`` exactly
+those of its earlier body, kept below as ``reference_tr_add``.
 """
 
 import math
@@ -101,6 +102,116 @@ def test_scalar_ops_sound(p):
             assert in_ball(-x, p, negated), (a, negated)
             if b[1] != 0:
                 assert in_ball(x / y, p, divided), (a, b, divided)
+
+
+# -- tr_add against the body it replaced -------------------------------------
+
+_POW_CACHE = arith._POW_CACHE
+_grow = arith._grow
+
+
+def reference_tr_add(p, v1, u1, k1, v2, u2, k2):
+    """_core.tr_add before it reduced only the digits that reach a shifted
+    sum and found a cancelled sum's valuation by doubling and halving."""
+    if u1 == 0 and u2 == 0:
+        return (v1 if v1 < v2 else v2, 0, 0)
+    if u1 == 0:
+        v1, u1, k1, v2, u2, k2 = v2, u2, k2, v1, u1, k1
+    if u2 == 0:
+        m = v2
+        if v1 >= m:
+            return (m, 0, 0)
+        if v1 + k1 <= m:
+            return (v1, u1, k1)
+        k = m - v1
+        try:
+            pk = _POW_CACHE[p][k]
+        except (KeyError, IndexError):
+            pk = _grow(p, k)[k]
+        return (v1, u1 % pk, k)
+    if v1 > v2:
+        v1, u1, k1, v2, u2, k2 = v2, u2, k2, v1, u1, k1
+    if v1 < v2:
+        a1 = v1 + k1
+        a2 = v2 + k2
+        k = (a1 if a1 < a2 else a2) - v1
+        try:
+            pw = _POW_CACHE[p]
+            pk = pw[k]
+        except (KeyError, IndexError):
+            pw = _grow(p, k)
+            pk = pw[k]
+        d = v2 - v1
+        if d < k:
+            return (v1, (u1 + u2 * pw[d]) % pk, k)
+        return (v1, u1 % pk, k)
+    k = k1 if k1 < k2 else k2
+    try:
+        pk = _POW_CACHE[p][k]
+    except (KeyError, IndexError):
+        pk = _grow(p, k)[k]
+    s = (u1 + u2) % pk
+    if s == 0:
+        return (v1 + k, 0, 0)
+    t = 0
+    while s % p == 0:
+        s //= p
+        t += 1
+    return (v1 + t, s, k - t)
+
+
+def big_unit(rng, p, k):
+    """A unit with k digits (0 < u < p**k, p does not divide u)."""
+    return p * rng.randrange(p ** (k - 1)) + rng.randrange(1, p)
+
+
+@st.composite
+def tr_add_cases(draw):
+    """Cancelled sums of every depth, shifted sums with and without a reduced
+    u1 and with u2 on either side of p**(k - d), and zeros near INF_BOUND."""
+    p = draw(st.sampled_from(PRIMES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["cancel", "shift_edge", "shift_short", "shift_any", "zero"]))
+    if kind == "cancel":
+        k = draw(st.integers(2, 2100))
+        k2 = k + draw(st.integers(0, 4))
+        depth = draw(st.integers(1, k))  # depth k cancels every known digit
+        u1 = big_unit(rng, p, k)
+        u2 = (-u1 + rng.randrange(1, p) * p**depth) % p**k2
+        v = draw(st.integers(-20, 20))
+        a, b = (v, u1, k), (v, u2, k2)
+    elif kind == "zero":
+        a = (INF + draw(st.integers(-3, 3)), 0, 0)
+        if draw(st.booleans()):
+            b = (INF + draw(st.integers(-3, 3)), 0, 0)
+        else:
+            k = draw(st.integers(1, 40))
+            b = (INF - k + draw(st.integers(-3, 3)), big_unit(rng, p, k), k)
+    else:
+        k1 = draw(st.integers(2, 2100))
+        if kind == "shift_edge":  # d = k - 1 with k = k1
+            d, k2 = k1 - 1, draw(st.integers(1, 2100))
+        elif kind == "shift_short":  # k = d + k2 < k1, so u1 is reduced
+            d = draw(st.integers(1, k1 - 1))
+            k2 = draw(st.integers(1, max(1, k1 - d - 1)))
+        else:
+            d, k2 = draw(st.integers(1, k1 + 3)), draw(st.integers(1, 2100))
+        k = min(k1, d + k2)
+        u1, u2 = big_unit(rng, p, k1), big_unit(rng, p, k2)
+        if k > d and draw(st.booleans()):
+            u2 %= p ** (k - d)  # u2 already below p**(k - d)
+        v = draw(st.integers(-20, 20))
+        a, b = (v, u1, k1), (v + d, u2, k2)
+    return p, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(tr_add_cases())
+def test_tr_add_matches_reference(case):
+    p, a, b = case
+    assert _core.tr_add(p, *a, *b) == reference_tr_add(p, *a, *b), case
+    assert _core.tr_add(p, *b, *a) == reference_tr_add(p, *b, *a), case
+
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -294,6 +405,13 @@ def test_powers_stay_within_operand_precision():
         _core.conv_at(p, bv, bu, bk, av, au, ak, n, 0, n)
     assert len(arith._POW_CACHE[p]) <= k_max + 1
     assert product == schoolbook_series_mul(p, av, au, ak, bv, bu, bk, 6)
+    # nor may a cancellation of any depth when it looks for the valuation
+    u = 3
+    for depth in range(1, k_max + 1):
+        partner = (-u + p**depth) % p**k_max  # depth k_max cancels every digit
+        _core.tr_add(p, 0, u, k_max, 0, partner, k_max)
+        _core.dot(p, [0, 0], [u, partner], [k_max, k_max], [0, 0], [1, 1], [k_max, k_max])
+    assert len(arith._POW_CACHE[p]) <= k_max + 1
 
 
 def test_backend_name_is_pure():

@@ -10,7 +10,9 @@ value whose absolute precision is at most INF_BOUND.  The guards are tested on
 every call, so hand-built values just beyond those limits (k above the working
 precision, zero bounds above INF_BOUND, absolute precision above INF_BOUND)
 must still give the triples of the object-level references kept in
-``tests/test_triple_paths.py``.
+``tests/test_triple_paths.py``.  So must generators with negative
+coefficients, which ``MultivariatePoly`` stores as a sign and the smaller
+unit, so that a coefficient -1 takes the skip for a coefficient 1.
 """
 
 import random
@@ -220,6 +222,56 @@ def test_scan_guards_match_reference_at_an_exactly_zero_fixed_point():
             validated = SimpleNamespace(spec=spec)
             got = scan_outcome(direct_orbit_scan, validated, 40)
             assert got == scan_outcome(reference_direct_orbit_scan, validated, 40), (x, y)
+
+
+@st.composite
+def signed_generator_cases(draw):
+    """Generators whose coefficients are often negative (stored as a sign and
+    the smaller unit): -1, -2, -p, -1/p, negated units with fewer digits than
+    the point, and any unit; several variables, exponents up to 4, and points
+    that may be exact or inexact zeros."""
+    ctx = PadicContext(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 40)))
+    p, n = ctx.prime, ctx.working_precision
+    short = draw(st.integers(1, n))
+
+    def coefficient(kind):
+        if kind == "fixed":
+            return draw(st.sampled_from([ctx.integer(-1), ctx.integer(-2), ctx.integer(-p),
+                                         ctx.from_rational(-1, p), ctx.one()]))
+        if kind == "short":  # minus a small unit, carrying `short` digits
+            small = draw(st.sampled_from([1, p + 1, 2 * p + 1]))
+            return PadicNumber(ctx, draw(st.integers(-3, 3)), -small % p**short, short)
+        return draw(numbers(ctx, allow_zero=False))
+
+    nvars = draw(st.integers(1, 3))
+    expos = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), min_size=1, max_size=4,
+                          unique=True))
+    terms = {e: coefficient(draw(st.sampled_from(["fixed", "fixed", "short", "any"])))
+             for e in expos}
+    return MultivariatePoly(ctx, nvars, terms), [draw(numbers(ctx)) for _ in range(nvars)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(signed_generator_cases())
+def test_signed_coefficients_match_reference(case):
+    f, point = case
+    assert triple(f.evaluate(point)) == triple(reference_evaluate(f, point)), (f.terms, point)
+
+
+def test_a_difference_of_variables_makes_no_product(monkeypatch):
+    """x1 - x2: both coefficients are (0, 1, N) up to sign, so the only kernel
+    calls are one negation and one sum, at any precision."""
+    rng = random.Random(9500)
+    ctx = PadicContext(3, 2048)
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    point = [unit(ctx, 2, 2048, rng), unit(ctx, 1, 2048, rng)]
+    want = triple(reference_evaluate(f, point))
+    calls = []
+    for name in ("tr_mul", "tr_neg", "tr_add"):
+        real = getattr(_core, name)
+        monkeypatch.setattr(_core, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    assert triple(f.evaluate(point)) == want
+    assert sorted(calls) == ["tr_add", "tr_neg"]
 
 
 @st.composite
