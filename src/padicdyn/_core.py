@@ -33,7 +33,7 @@ dividing by p once per digit took t divisions of a number of up to k digits.
 
 Every power of ``p`` comes from one cache, ``_POW_CACHE[p] = [1, p, p**2,
 ...]``, which the hot functions index directly and ``_grow`` extends on a
-miss. Exponents stay below the largest ``k`` among the operands, so the cache
+miss.  Exponents stay below the largest ``k`` among the operands, so the cache
 stays that long plus one: a ``tr_*`` result keeps at most the least ``k`` of
 its operands and reduces modulo that power; a shifted sum reads ``p**d`` and
 ``p**(k - d)`` with ``0 < d < k``; ``_strip`` reads only powers below the
@@ -42,7 +42,7 @@ below ``k``; ``_conv`` scales its running sum by ``p**(old m - new m)`` only
 while the old ``m`` is below the running absolute precision ``a``, which keeps
 that exponent below the new term's least ``k``, and it skips every unit*unit
 term at or above ``a``, which keeps each term's offset from ``m`` and the
-final ``a - m`` below the ``k`` of the term that set ``m``. (Without the skip,
+final ``a - m`` below the ``k`` of the term that set ``m``.  (Without the skip,
 operands with valuations 10**4 apart would build a cache 2*10**4 powers long.)
 
 Callers look the public functions up as ``_core.<name>`` at call time, so a

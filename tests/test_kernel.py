@@ -213,7 +213,6 @@ def test_tr_add_matches_reference(case):
     assert _core.tr_add(p, *b, *a) == reference_tr_add(p, *b, *a), case
 
 
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_series_kernels_sound(p):
     rng = random.Random(2000 + p)

@@ -26,7 +26,7 @@ from padicdyn import (
 )
 from padicdyn import cli
 from padicdyn.problemfile import load_problem
-from padicdyn.series import TailBound
+from padicdyn.series import ZERO_TAIL, TailBound
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -108,11 +108,8 @@ def random_series(rng, ctx, t):
         u = p * rng.randrange(p ** (k - 1)) + rng.randrange(1, p)
         coeffs.append(ctx.zero(rng.randint(0, 8)) if rng.random() < 0.15
                       else PadicNumber(ctx, rng.randint(0, 3), u, k))
-    tail = TailBound(rng.randint(0, 2), rng.randint(0, 6)) if rng.random() < 0.5 else None
-    order = max(t, len(coeffs) - 1)
-    if tail is None:
-        return TruncatedSeries.from_coefficients(ctx, coeffs, order=order)
-    return TruncatedSeries.from_coefficients(ctx, coeffs, order=order, tail=tail)
+    tail = TailBound(rng.randint(0, 2), rng.randint(0, 6)) if rng.random() < 0.5 else ZERO_TAIL
+    return TruncatedSeries.from_coefficients(ctx, coeffs, order=max(t, len(coeffs) - 1), tail=tail)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
