@@ -21,6 +21,8 @@ independent of the F-side analysis so it can serve as an oracle for it.
 
 from __future__ import annotations
 
+import math
+
 from . import _core
 from .errors import PrecisionError, ValidationError
 from .padic import INF_BOUND, PadicContext, PadicNumber
@@ -340,6 +342,13 @@ def build_F(validated: ValidatedSystem, lead: int, lambdas: list) -> list:
     return [f.evaluate_series(coords, t) for f in spec.variety]
 
 
+def _slope_text(rise: int, run: int) -> str:
+    """The slope rise/run (run > 0) as ``str(fractions.Fraction(rise, run))`` gives it."""
+    g = math.gcd(rise, run)
+    rise, run = rise // g, run // g
+    return str(rise) if run == 1 else f"{rise}/{run}"
+
+
 def analyze(spec: SystemSpec) -> AnalysisReport:
     """Run the full procedure; every analysis failure is an Inconclusive verdict.
 
@@ -388,7 +397,7 @@ def analyze(spec: SystemSpec) -> AnalysisReport:
                 continue
             all_zero = False
             zc = F.count_zeros_in_ball(m_count)
-            np_data = [(str(s), int(l)) for s, l in F.newton_polygon()]
+            np_data = [(_slope_text(rise, run), run) for rise, run in F.hull_segments()]
             gens.append(
                 GeneratorReport(
                     index=j + 1,

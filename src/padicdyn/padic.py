@@ -59,12 +59,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _vp(n: int, p: int) -> int:
+def _split_p(n: int, p: int):
+    """(v, n // p**v) for the valuation v of a nonzero integer n at p.
+
+    Divides by p, p**2, p**4, ... while that power divides what is left, then
+    by the same powers in reverse where they still divide: O(log v) divisions
+    where one per factor of p makes loading a large power of p quadratic.
+    """
+    powers = [p]
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    while True:
+        q, r = divmod(n, powers[-1])
+        if r:
+            break
+        n = q
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for i in range(len(powers) - 2, -1, -1):
+        q, r = divmod(n, powers[i])
+        if not r:
+            n = q
+            v += 1 << i
+    return v, n
 
 
 def triple_pow(p: int, v: int, u: int, k: int, n: int):
@@ -135,10 +151,8 @@ class PadicContext(namedtuple("PadicContext", "prime working_precision")):
         if numerator == 0:
             return self.zero()
         p, n = self.prime, self.working_precision
-        vn = _vp(numerator, p)
-        vd = _vp(denominator, p)
-        un = numerator // p**vn
-        ud = denominator // p**vd
+        vn, un = _split_p(numerator, p)
+        vd, ud = _split_p(denominator, p)
         pk = p**n
         u = un * pow(ud, -1, pk) % pk
         return PadicNumber(self, vn - vd, u, n)
@@ -355,7 +369,7 @@ def norm_identity_check(beta: PadicNumber, n: int) -> bool:
     if d.valuation < 2:
         raise ValueError("norm_identity_check requires v(beta - 1) >= 2")
     lhs = beta**n - one
-    expected = d.valuation + _vp(n, beta.ctx.prime)
+    expected = d.valuation + _split_p(n, beta.ctx.prime)[0]
     if not lhs.is_certified_nonzero:
         raise PrecisionError("beta**n - 1 not resolved at working precision")
     return lhs.valuation == expected

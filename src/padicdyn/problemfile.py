@@ -16,16 +16,21 @@ A problem file is a JSON document:
       ]
     }
 
-Coefficients are exact rationals written as strings ("a/b" or "a"); polynomial
-coefficient lists are degree-ascending.  Reports are rendered as canonical JSON
-(sorted keys, fixed separators) so byte-identical reruns are a guarantee, and
-instances double as golden-file fixtures.
+Coefficients are exact rationals: a JSON integer, or a string of an optional
+sign, ASCII digits, and optionally "/" and more ASCII digits ("3", "-3/4",
+"+3", "0/5").  Nothing else is read as a number: decimals and JSON floats,
+exponents, "_" separators, whitespace, non-ASCII digits and a zero denominator
+are validation errors.  Polynomial coefficient lists are degree-ascending.
+Reports are rendered as canonical JSON (sorted keys, fixed separators) so
+byte-identical reruns are a guarantee, and instances double as golden-file
+fixtures.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import math
+import re
 
 from .errors import ValidationError
 from .padic import PadicContext, PadicNumber
@@ -40,17 +45,35 @@ DEFAULT_TRUNCATION = 64
 DEFAULT_MAX_ITERATIONS = 200
 
 
-def _parse_rational(ctx: PadicContext, text, where: str) -> PadicNumber:
-    try:
-        frac = Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{where}: {text!r} is not an exact rational") from exc
-    return ctx.from_rational(frac.numerator, frac.denominator)
-
-
 def _is_int(value) -> bool:
     """A JSON integer: an int that is not a bool (true/false are ints in Python)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational_parts(text, where: str) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms, denominator positive."""
+    if _is_int(text):
+        return text, 1
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValidationError(f"{where}: {text!r} is not an exact rational")
+    num, den = match.groups()
+    try:
+        num = int(num)
+        den = int(den) if den else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise ValidationError(f"{where}: {exc}") from exc
+    if den == 0:
+        raise ValidationError(f"{where}: {text!r} has a zero denominator")
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _parse_rational(ctx: PadicContext, text, where: str) -> PadicNumber:
+    return ctx.from_rational(*_rational_parts(text, where))
 
 
 def _require(doc: dict, key: str, path: str):
@@ -67,6 +90,8 @@ def load_problem(text: str, path: str = "problem",
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise ValidationError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be an object")
     prime = _require(doc, "prime", path)

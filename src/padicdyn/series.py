@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from . import _core
 from .errors import PrecisionError
@@ -338,21 +337,24 @@ class TruncatedSeries:
             result = result + self.ctx.zero(err)
         return result
 
-    def newton_polygon(self) -> list[tuple[Fraction, int]]:
+    def hull_segments(self) -> list[tuple[int, int]]:
         """Lower convex hull of (n, v(c_n)) over certified-nonzero coefficients.
 
-        Returned as consecutive (slope, horizontal length) pairs, slopes
-        ascending.  Raises PrecisionError when every computed coefficient is
-        indistinguishable from zero.
+        Returned as consecutive integer (rise, run) pairs, run > 0 and slopes
+        rise/run ascending.  Raises PrecisionError when every computed
+        coefficient is indistinguishable from zero.
         """
         pts = [(i, self._v[i]) for i in range(self._t + 1) if self._u[i] != 0]
         if not pts:
             raise PrecisionError("all computed coefficients indistinguishable from zero")
         hull = _lower_hull(pts)
-        out = []
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            out.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
-        return out
+        return [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+
+    def newton_polygon(self) -> list[tuple[Fraction, int]]:
+        """:meth:`hull_segments` as (slope, horizontal length) pairs."""
+        from fractions import Fraction  # here, so importing padicdyn does not load it
+
+        return [(Fraction(rise, run), run) for rise, run in self.hull_segments()]
 
     def count_zeros_in_ball(self, radius_valuation: int) -> ZeroCount:
         """Certified count of zeros z with v(z) >= m, multiplicity included.
