@@ -45,18 +45,42 @@ term at or above ``a``, which keeps each term's offset from ``m`` and the
 final ``a - m`` below the ``k`` of the term that set ``m``.  (Without the skip,
 operands with valuations 10**4 apart would build a cache 2*10**4 powers long.)
 
+``horner`` evaluates a polynomial or a truncated series at a triple ``z`` by
+Horner's rule, acc = acc*z + c from the top, and returns exactly the triple
+of the plain loop of ``tr_mul`` and ``tr_add``.  It skips a product by an
+exact one and a sum with an exact zero (each returns its operand), and it
+fuses a shifted sum into the product that follows it.  Let acc = p**w * a and
+c = p**vc * c_u be units with vc < w and d = w - vc.  Their sum is p**vc * s
+with ``s = (c_u + p**d * a) mod p**ks``, and its product by z has the unit
+``s * z_u mod p**K`` with ``K = min(ks, z_k)``.  As K <= ks, s may be replaced
+by c_u + p**d * a modulo p**K, and p**d * t modulo p**K depends only on t
+modulo p**(K - d).  So, for any c congruent to c_u modulo p**K,
+
+    s * z_u = c * z_u + p**d * ((y * z_u) mod p**(K - d))   (mod p**K)
+
+with ``y = a mod p**(K - d)``: the same residue, from a product of
+(K - d)-digit numbers in place of the K-digit product and its K-digit
+reduction.  When acc is z itself (the top coefficient was an exact one),
+y * z_u is the square y * y.  The step applies when z is a unit, d < K, and c,
+read as the nearer of c_u and c_u - p**k_c, is below p**d in magnitude, so
+that c * z_u is a short multiple (a coefficient -1 or -2 counts as short);
+every other sum is formed with ``tr_add``'s arithmetic.
+
 Callers look the public functions up as ``_core.<name>`` at call time, so a
 wrapper installed on this module (``checkbench/tracing.py``) sees every call
 from outside the kernel.  It sees none of the kernel's own inner calls because
 no public function calls another: ``series_mul``, ``conv_at`` and ``dot`` call
-the private ``_conv``.  The ``tr_*`` functions are called directly by the
-``PadicNumber`` operators (``padic``, with ``triple_pow`` for powers), the
-series code, the Koenigs divisors (``linearize``) and the direct orbit scan's
-scalar work: ``Polynomial.eval_triple`` (``dynamics``),
-``MultivariatePoly.eval_triples`` (``multipoly``) and the collapse test of
-``checker.direct_orbit_scan``.  Those two evaluation bodies skip a call that
-would return its operand (a product by an exact one, a sum with an exact
-zero), so the traced ``tr_*`` counts hold only the calls that do work.
+the private ``_conv``, and ``horner`` calls ``tr_mul`` and ``tr_add`` by their
+private names ``_mul`` and ``_add``.  So the traced ``tr_*`` counters no longer
+see polynomial or series evaluation: an orbit step of the direct scan is
+counted nowhere, and its time is the scan's self time.  The ``tr_*`` functions
+are called directly by the ``PadicNumber`` operators (``padic``, with
+``triple_pow`` for powers), the series code, the Koenigs divisors
+(``linearize``), ``MultivariatePoly.eval_triples`` (``multipoly``) and the
+collapse test of ``checker.direct_orbit_scan``; ``Polynomial.eval_triple``
+(``dynamics``) and ``TruncatedSeries.evaluate`` (``series``) call ``horner``.
+The generator evaluation and the collapse test skip the same calls that
+``horner`` skips, so the traced counts hold only the calls that do work.
 """
 
 BACKEND = "pure"
@@ -180,6 +204,91 @@ def tr_add(p, v1, u1, k1, v2, u2, k2):
         return (v1, s, k)
     t, s = _strip(pw, s, k)
     return (v1 + t, s, k - t)
+
+
+# horner's inner arithmetic: the functions above under private names, which a
+# wrapper installed on the public tr_* attributes does not replace
+_mul = tr_mul
+_add = tr_add
+
+
+def horner(p, top, below, zv, zu, zk):
+    """Horner's rule on (v, u, k) triples: acc = acc*z + c, from the top.
+
+    ``top`` is the leading coefficient's triple and ``below`` yields the
+    others from the next degree down to the constant.  The result is exactly
+    the triple of the plain loop ``acc = tr_add(tr_mul(acc, z), c)``.  A
+    product by exactly (0, 1, k) of a unit with at most k digits or of a zero
+    bounded at most at INF_BOUND is z itself, an exact zero added to a value
+    whose absolute precision is at most INF_BOUND leaves it as it is, and a
+    shifted sum that the next step multiplies by z is not formed (the fused
+    step of the module docstring).
+    """
+    try:
+        pw = _POW_CACHE[p]
+    except KeyError:
+        pw = _grow(p, 0)
+    v, u, k = top
+    d = 0  # > 0 while acc + c waits, unformed, for the product by z
+    same = False  # acc is z itself
+    for cv, cu, ck in below:
+        if d:
+            # the fused step: (c + p**d * acc) * z from cs and acc's low digits
+            e = K - d
+            pe = pw[e]
+            y = u % pe if u >= pe else u
+            if same:
+                w = y * y % pe
+            else:
+                w = y * (zu % pe if zu >= pe else zu) % pe
+            try:
+                pK = pw[K]
+            except IndexError:
+                pK = _grow(p, K)[K]
+            v, u, k = fv + zv, (cs * zu + w * pw[d]) % pK, K
+            d = 0
+            same = False
+        elif u == 1 and v == 0 and (zk <= k if zu else zv <= INF_BOUND):
+            v, u, k = zv, zu, zk
+            same = True
+        elif u and zu:
+            K = k if k < zk else zk
+            try:
+                pK = pw[K]
+            except IndexError:
+                pK = _grow(p, K)[K]
+            v, u, k = v + zv, (u * zu) % pK, K
+            same = False
+        else:
+            v, u, k = _mul(p, v, u, k, zv, zu, zk)
+            same = False
+        if cu and u and zu and cv < v:
+            # a shifted sum, c g digits below acc; its product by z keeps K digits
+            g = v - cv
+            a = cv + ck
+            b = v + k
+            K = (a if a < b else b) - cv
+            if zk < K:
+                K = zk
+            if g < K:
+                try:
+                    pg = pw[g]
+                except IndexError:
+                    pg = _grow(p, g)[g]
+                if cu < pg:
+                    d, cs = g, cu
+                elif ck < len(pw) and pw[ck] - cu < pg:
+                    d, cs = g, cu - pw[ck]
+            if d:
+                fv = cv
+            else:
+                v, u, k = _add(p, v, u, k, cv, cu, ck)
+        elif cu or cv < INF_BOUND or v + k > INF_BOUND:
+            v, u, k = _add(p, v, u, k, cv, cu, ck)
+    if d:
+        # the constant term's sum, left for a product that does not follow
+        return _add(p, v, u, k, cv, cu, ck)
+    return v, u, k
 
 
 def tr_div(p, v1, u1, k1, v2, u2, k2):

@@ -60,23 +60,8 @@ class Polynomial:
         return PadicNumber(self.ctx, v, u, k)
 
     def eval_triple(self, zv, zu, zk):
-        """Horner's rule on (v, u, k) triples: acc = acc*z + c, from the top.
-
-        A kernel call that would return its operand is skipped: acc*z when acc
-        is exactly (0, 1, k) and z is a unit with at most k digits or a zero
-        bounded at most at INF_BOUND, and acc + c when c is an exact zero and
-        acc's absolute precision is at most INF_BOUND.
-        """
-        p = self.ctx.prime
-        v, u, k = self._top
-        for cv, cu, ck in self._below:
-            if u == 1 and v == 0 and (zk <= k if zu else zv <= INF_BOUND):
-                v, u, k = zv, zu, zk
-            else:
-                v, u, k = _core.tr_mul(p, v, u, k, zv, zu, zk)
-            if cu or cv < INF_BOUND or v + k > INF_BOUND:
-                v, u, k = _core.tr_add(p, v, u, k, cv, cu, ck)
-        return v, u, k
+        """The value at the triple (zv, zu, zk), by ``_core.horner``."""
+        return _core.horner(self.ctx.prime, self._top, self._below, zv, zu, zk)
 
     def derivative(self) -> "Polynomial":
         return Polynomial(

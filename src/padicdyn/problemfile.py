@@ -52,6 +52,19 @@ def _is_int(value) -> bool:
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
+# an error message quotes at most this many characters of a refused value
+_QUOTE_CHARS = 40
+
+
+def _quote(value) -> str:
+    """``value`` for an error message: its repr, cut to _QUOTE_CHARS characters
+    and followed by its length when it is longer."""
+    text = repr(value)
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    size = len(value) if isinstance(value, (str, list, dict)) else len(text)
+    return f"{text[:_QUOTE_CHARS]}... (length {size})"
+
 
 def _rational_parts(text, where: str) -> tuple[int, int]:
     """(numerator, denominator) in lowest terms, denominator positive."""
@@ -59,7 +72,7 @@ def _rational_parts(text, where: str) -> tuple[int, int]:
         return text, 1
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:
-        raise ValidationError(f"{where}: {text!r} is not an exact rational")
+        raise ValidationError(f"{where}: {_quote(text)} is not an exact rational")
     num, den = match.groups()
     try:
         num = int(num)
@@ -67,7 +80,7 @@ def _rational_parts(text, where: str) -> tuple[int, int]:
     except ValueError as exc:  # more digits than int() converts
         raise ValidationError(f"{where}: {exc}") from exc
     if den == 0:
-        raise ValidationError(f"{where}: {text!r} has a zero denominator")
+        raise ValidationError(f"{where}: {_quote(text)} has a zero denominator")
     g = math.gcd(num, den)
     return num // g, den // g
 
@@ -126,7 +139,9 @@ def load_problem(text: str, path: str = "problem",
             )
         maps.append(
             Polynomial(ctx, [
-                _parse_rational(ctx, c, f"{path}: polynomials[{i}][{j}]")
+                _parse_rational(
+                    ctx, c, f"{path}: polynomials[{i}][{j}] (coefficient of X^{j})"
+                )
                 for j, c in enumerate(coeffs)
             ])
         )
@@ -170,7 +185,7 @@ def load_problem(text: str, path: str = "problem",
             for e in expo:
                 if not (_is_int(e) and e >= 0):
                     raise ValidationError(
-                        f"{where}: exponent {e!r} is not a non-negative integer"
+                        f"{where}: exponent {_quote(e)} is not a non-negative integer"
                     )
             key = tuple(expo)
             if key in terms:

@@ -326,12 +326,12 @@ class TruncatedSeries:
                     f"tail not dominated at v(z) >= {vz}: raise the truncation order"
                 )
             err = math.ceil(s * (self._t + 1) + self.tail.offset)
-        p = self.ctx.prime
-        av, au, ak = self._v[self._t], self._u[self._t], self._k[self._t]
-        for i in range(self._t - 1, -1, -1):
-            av, au, ak = _core.tr_mul(p, av, au, ak, z._v, z._u, z._k)
-            av, au, ak = _core.tr_add(p, av, au, ak, self._v[i], self._u[i], self._k[i])
-        result = PadicNumber(self.ctx, av, au, ak)
+        t = self._t
+        below = zip(reversed(self._v[:t]), reversed(self._u[:t]), reversed(self._k[:t]))
+        v, u, k = _core.horner(
+            self.ctx.prime, (self._v[t], self._u[t], self._k[t]), below, z._v, z._u, z._k
+        )
+        result = PadicNumber(self.ctx, v, u, k)
         if err is not None:
             # forget the digits beyond the certified error valuation
             result = result + self.ctx.zero(err)
