@@ -44,6 +44,8 @@ that exponent below the new term's least ``k``, and it skips every unit*unit
 term at or above ``a``, which keeps each term's offset from ``m`` and the
 final ``a - m`` below the ``k`` of the term that set ``m``.  (Without the skip,
 operands with valuations 10**4 apart would build a cache 2*10**4 powers long.)
+``horner``'s fused step reads ``p**d``, ``p**(K - d)`` and ``p**K`` with
+``0 < d < K``, and a coefficient's ``p**k`` only when it is already cached.
 
 ``horner`` evaluates a polynomial or a truncated series at a triple ``z`` by
 Horner's rule, acc = acc*z + c from the top, and returns exactly the triple

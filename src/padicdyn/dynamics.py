@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from . import _core
 from .errors import ValidationError
-from .padic import INF_BOUND, PadicContext, PadicNumber
+from .padic import PadicContext, PadicNumber
 
 ATTRACTING = "attracting"
 SUPERATTRACTING = "superattracting"
