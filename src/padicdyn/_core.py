@@ -236,17 +236,12 @@ def horner(p, top, below, zv, zu, zk):
     for cv, cu, ck in below:
         if d:
             # the fused step: (c + p**d * acc) * z from cs and acc's low digits
-            e = K - d
-            pe = pw[e]
+            pe = pw[K - d]
             y = u % pe if u >= pe else u
             if same:
                 w = y * y % pe
             else:
                 w = y * (zu % pe if zu >= pe else zu) % pe
-            try:
-                pK = pw[K]
-            except IndexError:
-                pK = _grow(p, K)[K]
             v, u, k = fv + zv, (cs * zu + w * pw[d]) % pK, K
             d = 0
             same = False
@@ -274,9 +269,10 @@ def horner(p, top, below, zv, zu, zk):
                 K = zk
             if g < K:
                 try:
-                    pg = pw[g]
+                    pK = pw[K]  # the fused step reads powers through p**K
                 except IndexError:
-                    pg = _grow(p, g)[g]
+                    pK = _grow(p, K)[K]
+                pg = pw[g]
                 if cu < pg:
                     d, cs = g, cu
                 elif ck < len(pw) and pw[ck] - cu < pg:
