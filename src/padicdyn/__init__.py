@@ -8,7 +8,7 @@ coordinatewise polynomial orbit with an affine variety.
 
 from ._core import BACKEND
 from .errors import PrecisionError, ValidationError
-from .padic import Ball, PadicContext, PadicNumber, is_prime, norm_identity_check, schinzel_valuation
+from .padic import Ball, PadicContext, PadicNumber, is_prime
 from .series import TailBound, TruncatedSeries, ZeroCount
 from .multipoly import MultivariatePoly
 from .dynamics import (
@@ -19,7 +19,6 @@ from .dynamics import (
     FixedPointScan,
     Polynomial,
     find_fixed_points,
-    iterate,
 )
 from .linearize import (
     Linearization,
@@ -77,15 +76,12 @@ __all__ = [
     "inverse_koenigs_coefficients",
     "is_prime",
     "isometry_radius",
-    "iterate",
     "koenigs_coefficients",
     "linearize",
     "load_problem",
     "mutual_inversion_residual",
-    "norm_identity_check",
     "render_padic",
     "render_report",
-    "schinzel_valuation",
     "validate",
     "verify_functional_equation",
 ]

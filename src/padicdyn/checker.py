@@ -29,6 +29,10 @@ from .padic import INF_BOUND, PadicContext, PadicNumber
 from .linearize import linearize
 from .series import TruncatedSeries
 
+# SystemSpec's defaults, which are also the problem file's (problemfile imports them)
+DEFAULT_TRUNCATION = 64
+DEFAULT_MAX_ITERATIONS = 200
+
 _QP_NOTE = (
     "analysis runs over Q_p (unramified, capped precision); ramified data is"
     " out of scope"
@@ -75,7 +79,8 @@ class SystemSpec(_Record):
                  "max_direct_iterations")
 
     def __init__(self, ctx: PadicContext, maps: list, fixed_points: list, start: list,
-                 variety: list, truncation: int = 64, max_direct_iterations: int = 200):
+                 variety: list, truncation: int = DEFAULT_TRUNCATION,
+                 max_direct_iterations: int = DEFAULT_MAX_ITERATIONS):
         self.ctx = ctx
         self.maps = maps
         self.fixed_points = fixed_points

@@ -109,15 +109,6 @@ class FixedPointScan(namedtuple("FixedPointScan", "points unresolved_residues"))
     __slots__ = ()
 
 
-def iterate(P: Polynomial, z: PadicNumber, n: int) -> PadicNumber:
-    """n-fold application of P."""
-    if n < 0:
-        raise ValueError("iteration count must be >= 0")
-    for _ in range(n):
-        z = P(z)
-    return z
-
-
 def _classify(multiplier: PadicNumber) -> str:
     if multiplier.is_zero_to_precision:
         return SUPERATTRACTING

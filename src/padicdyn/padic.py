@@ -5,11 +5,6 @@ an exact valuation and ``k <= N`` known unit digits, or a "zero" carrying an
 absolute-precision bound ("the value is O(p**m)").  All arithmetic tracks
 precision pessimistically and raises :class:`~padicdyn.errors.PrecisionError`
 rather than guess whenever a comparison or valuation is undecidable.
-
-The module also provides the two norm identities the rest of the library leans
-on as executable checks: the unit-circle identity ``|b^n - 1| = |b - 1| |n|``
-(for ``b`` close to 1) and its attracting-multiplier specialization
-``v(b^n - b) = v(b)``.
 """
 
 from __future__ import annotations
@@ -339,37 +334,3 @@ class Ball(namedtuple("Ball", "center radius_valuation")):
             f"membership undecidable: v(z - center) only known to be"
             f" >= {d.zero_bound} < {self.radius_valuation}"
         )
-
-
-def schinzel_valuation(b: PadicNumber, n: int) -> int:
-    """v(b**n - b) in closed form for an attracting-scale b (v(b) >= 1).
-
-    Since v(b) >= 1 makes b**(n-1) - 1 a unit, v(b**n - b) = v(b) exactly.
-    """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    if not b.is_certified_nonzero or b.valuation < 1:
-        raise ValueError("schinzel_valuation requires v(b) >= 1")
-    return b.valuation
-
-
-def norm_identity_check(beta: PadicNumber, n: int) -> bool:
-    """Test v(beta**n - 1) == v(beta - 1) + v_p(n) by direct computation.
-
-    Requires v(beta - 1) >= 2 (the Q_p form of |beta - 1| < |p|).  For beta
-    indistinguishable from 1 both sides are zero to precision and the identity
-    holds degenerately.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    one = beta.ctx.one()
-    d = beta - one
-    if d.is_zero_to_precision:
-        return (beta**n - one).is_zero_to_precision
-    if d.valuation < 2:
-        raise ValueError("norm_identity_check requires v(beta - 1) >= 2")
-    lhs = beta**n - one
-    expected = d.valuation + _split_p(n, beta.ctx.prime)[0]
-    if not lhs.is_certified_nonzero:
-        raise PrecisionError("beta**n - 1 not resolved at working precision")
-    return lhs.valuation == expected

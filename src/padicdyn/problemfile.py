@@ -36,13 +36,11 @@ from .errors import ValidationError
 from .padic import PadicContext, PadicNumber
 from .dynamics import ATTRACTING, Polynomial, find_fixed_points
 from .multipoly import MultivariatePoly
-from .checker import AnalysisReport, SystemSpec
+from .checker import DEFAULT_MAX_ITERATIONS, DEFAULT_TRUNCATION, AnalysisReport, SystemSpec
 
 REPORT_SCHEMA_VERSION = 1
 
 DEFAULT_PRECISION = 128
-DEFAULT_TRUNCATION = 64
-DEFAULT_MAX_ITERATIONS = 200
 
 
 def _is_int(value) -> bool:

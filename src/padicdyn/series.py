@@ -350,12 +350,6 @@ class TruncatedSeries:
         hull = _lower_hull(pts)
         return [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
 
-    def newton_polygon(self) -> list[tuple[Fraction, int]]:
-        """:meth:`hull_segments` as (slope, horizontal length) pairs."""
-        from fractions import Fraction  # here, so importing padicdyn does not load it
-
-        return [(Fraction(rise, run), run) for rise, run in self.hull_segments()]
-
     def count_zeros_in_ball(self, radius_valuation: int) -> ZeroCount:
         """Certified count of zeros z with v(z) >= m, multiplicity included.
 

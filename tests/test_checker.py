@@ -16,7 +16,6 @@ from padicdyn import (
     build_F,
     compute_lambdas,
     direct_orbit_scan,
-    iterate,
     linearize,
     validate,
 )
@@ -148,7 +147,9 @@ class TestDirectScan:
 
     def test_constructed_hit(self, ctx, P):
         x1 = ctx.integer(3)
-        c = iterate(P, x1, 3)
+        c = x1
+        for _ in range(3):
+            c = P(c)
         gen = MultivariatePoly(ctx, 2, {(1, 0): ctx.one(), (0, 0): -c})
         spec = make_spec(ctx, P, [x1, ctx.integer(9)], [gen], n_max=25)
         assert direct_orbit_scan(validate(spec)) == [3]
@@ -264,7 +265,9 @@ class TestAnalyze:
 
     def test_hyperplane_through_orbit_point(self, ctx, P):
         x1 = ctx.integer(3)
-        c = iterate(P, x1, 3)
+        c = x1
+        for _ in range(3):
+            c = P(c)
         gen = MultivariatePoly(ctx, 2, {(1, 0): ctx.one(), (0, 0): -c})
         spec = make_spec(ctx, P, [x1, ctx.integer(9)], [gen], n_max=30)
         r = analyze(spec)

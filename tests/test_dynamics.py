@@ -12,9 +12,15 @@ from padicdyn import (
     Polynomial,
     ValidationError,
     find_fixed_points,
-    iterate,
 )
 from padicdyn.dynamics import orbit_distances
+
+
+def iterate(P, z, n):
+    """n-fold application of P, one ``P(z)`` per step."""
+    for _ in range(n):
+        z = P(z)
+    return z
 
 
 @pytest.fixture(scope="module")

@@ -13,8 +13,6 @@ from padicdyn import (
     PrecisionError,
     TruncatedSeries,
     is_prime,
-    norm_identity_check,
-    schinzel_valuation,
 )
 
 
@@ -208,13 +206,15 @@ def test_ultrametric_axioms(a, b, sa, sb):
 
 
 class TestSchinzel:
+    """v(b**n - b) = v(b) for v(b) >= 1, since b**(n-1) - 1 is then a unit."""
+
     def test_example_p5(self, c5):
-        assert schinzel_valuation(c5.integer(5), 7) == 1
         b = c5.integer(5)
         assert (b**7 - b).valuation == 1
 
     def test_example_p3(self, c3):
-        assert schinzel_valuation(c3.integer(9), 2) == 2
+        b = c3.integer(9)
+        assert (b**2 - b).valuation == 2
         assert vp(81 - 9, 3) == 2
 
     def test_agrees_with_direct_computation(self, c5):
@@ -226,28 +226,25 @@ class TestSchinzel:
             v = rng.randint(1, 3)
             b = c5.integer(unit * 5**v)
             n = rng.randint(2, 200)
-            direct = (b**n - b).valuation
-            assert schinzel_valuation(b, n) == direct == v
+            assert (b**n - b).valuation == v
 
-    def test_rejects_units(self, c5):
-        with pytest.raises(ValueError):
-            schinzel_valuation(c5.integer(7), 3)
+
+def assert_norm_identity(beta, n):
+    """v(beta**n - 1) == v(beta - 1) + v_p(n), both sides computed directly."""
+    one = beta.ctx.one()
+    assert (beta**n - one).valuation == (beta - one).valuation + vp(n, beta.ctx.prime)
 
 
 class TestNormIdentity:
+    """|beta**n - 1| = |beta - 1| |n| for v(beta - 1) >= 2."""
+
     def test_999(self, c3):
-        assert norm_identity_check(c3.integer(10), 3)
+        assert_norm_identity(c3.integer(10), 3)
+        assert vp(999, 3) == 3
 
     def test_99(self, c3):
-        assert norm_identity_check(c3.integer(10), 2)
+        assert_norm_identity(c3.integer(10), 2)
         assert vp(99, 3) == 2
-
-    def test_degenerate_beta_one(self, c3):
-        assert norm_identity_check(c3.one(), 12)
-
-    def test_rejects_shallow_beta(self, c3):
-        with pytest.raises(ValueError):
-            norm_identity_check(c3.integer(4), 5)  # v(beta-1) = 1 < 2
 
     def test_random_sample(self):
         # 1000+ draws across the primes, n up to 10^6
@@ -261,7 +258,7 @@ class TestNormIdentity:
                     unit = rng.randint(1, p**6)
                 beta = ctx.one() + ctx.integer(unit * p**v)
                 n = rng.randint(1, 10**6)
-                assert norm_identity_check(beta, n)
+                assert_norm_identity(beta, n)
 
 
 class TestBall:
