@@ -159,6 +159,23 @@ class AnalysisReport(_Record):
         self.detail = detail
 
 
+def _check_digits(x: PadicNumber, where: str):
+    """Refuse a nonzero value that carries more than N digits, or whose unit u
+    is not one of 1 <= u < p^k with p not dividing u: the arithmetic assumes
+    both of every value it is given."""
+    if not x._u:
+        return
+    p, n = x.ctx.prime, x.ctx.working_precision
+    if x._k > n:
+        raise ValidationError(
+            f"{where} carries {x._k} digits, more than the working precision {n}"
+        )
+    if not (0 < x._u < p**x._k and x._u % p):
+        raise ValidationError(
+            f"{where} has a unit outside 1 <= u < p^{x._k} with p not dividing u"
+        )
+
+
 def validate(spec: SystemSpec) -> ValidatedSystem:
     """Check every hypothesis and advance the orbit into the isometry balls.
 
@@ -166,13 +183,26 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
     coefficients and fixed point are equal triple for triple (value and
     precision) share one ``Linearization``, as in the invariant diagonal of a
     system (f, ..., f).  Raises ValidationError naming the violated hypothesis
-    (and the first coordinate that violates it) otherwise.
+    (and the first coordinate that violates it) otherwise, or the field of an
+    out-of-range truncation, iteration cap or value (``_check_digits``).
     """
+    if spec.truncation < 1:
+        raise ValidationError(f"truncation must be >= 1, got {spec.truncation}")
+    if spec.max_direct_iterations < 0:
+        raise ValidationError(
+            f"max_direct_iterations must be >= 0, got {spec.max_direct_iterations}"
+        )
     g = len(spec.maps)
     if g < 2:
         raise ValidationError("need at least two coordinates (g >= 2)")
     if not (len(spec.fixed_points) == len(spec.start) == g):
         raise ValidationError("maps, fixed_points and start must all have length g")
+    for i, P in enumerate(spec.maps, start=1):
+        for j, c in enumerate(P.coefficients):
+            _check_digits(c, f"maps[{i}] coefficient of X^{j}")
+    for name in ("fixed_points", "start"):
+        for i, x in enumerate(getattr(spec, name), start=1):
+            _check_digits(x, f"{name}[{i}]")
     for f in spec.variety:
         if f.nvars != g:
             raise ValidationError(f"variety generator has {f.nvars} variables, expected {g}")

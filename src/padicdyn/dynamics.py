@@ -18,8 +18,11 @@ ATTRACTING = "attracting"
 SUPERATTRACTING = "superattracting"
 INDIFFERENT = "indifferent"
 
-# find_fixed_points accepts a lifted point once v(P(x) - x) >= N - _FIXED_POINT_SLACK
+# find_fixed_points accepts a lifted point once v(p^s (P(x) - x)) >= N - _FIXED_POINT_SLACK
 _FIXED_POINT_SLACK = 8
+
+# find_fixed_points tests every residue mod p, so it refuses larger primes
+DISCOVERY_PRIME_BOUND = 1 << 20
 
 
 class Polynomial:
@@ -118,36 +121,64 @@ def _classify(multiplier: PadicNumber) -> str:
 def find_fixed_points(P: Polynomial) -> FixedPointScan:
     """All Z_p fixed points of P that are simple roots of P(X) - X.
 
-    Scans residues a mod p with P(a) - a = 0 mod p and (P - X)'(a) a unit mod
-    p, then Newton-lifts each to working precision.  Returned points satisfy
-    v(P(alpha) - alpha) >= N - _FIXED_POINT_SLACK.
+    Scales Q = P - X by p^s to the primitive p-integral Q~ = p^s Q, which has
+    the same roots.  Scans the residues a mod p with Q~(a) = 0 and Q~'(a) != 0
+    mod p in small-integer arithmetic, then Newton-lifts each from a to
+    working precision.  Returned points satisfy
+    v(p^s (P(alpha) - alpha)) >= N - _FIXED_POINT_SLACK.  Raises
+    ValidationError for p > DISCOVERY_PRIME_BOUND, and for a coefficient of Q
+    that is zero only to a precision too low to read Q~ mod p.
     """
     ctx = P.ctx
     p = ctx.prime
     n_prec = ctx.working_precision
+    if p > DISCOVERY_PRIME_BOUND:
+        raise ValidationError(
+            f"fixed-point discovery scans every residue mod p, so it needs"
+            f" p <= {DISCOVERY_PRIME_BOUND}; p = {p}"
+        )
     # Q = P - X
     q_coeffs = list(P.coefficients)
     q_coeffs[1] = q_coeffs[1] - ctx.one()
     if all(c.is_zero_to_precision for c in q_coeffs):
         raise ValidationError("P(X) - X vanishes identically; every point is fixed")
+    s = -min(c.valuation for c in q_coeffs if c.is_certified_nonzero)
+    residues = []  # Q~ mod p, degree-ascending
+    for j, c in enumerate(q_coeffs):
+        if c.is_certified_nonzero:
+            residues.append(c._u % p if c._v + s == 0 else 0)
+        elif c.zero_bound + s >= 1:
+            residues.append(0)
+        else:
+            raise ValidationError(
+                f"the coefficient of X^{j} in P(X) - X is only known to be O(p^{c.zero_bound}):"
+                f" too few digits to read p^{s} (P(X) - X) mod p"
+            )
+    p_s = PadicNumber(ctx, s, 1, n_prec)
     try:
-        Q = Polynomial(ctx, q_coeffs)
+        Q = Polynomial(ctx, [c * p_s for c in q_coeffs])
     except ValidationError:
         # P - X collapsed to a constant: no fixed points at all
         return FixedPointScan([], [])
     Qprime = Q.derivative()
+    # Q~ and Q~' mod p for Horner, highest degree first
+    top = residues[::-1]
+    dtop = [j * c % p for j, c in enumerate(residues)][:0:-1]
     points = []
     unresolved = []
     for a in range(p):
-        za = ctx.integer(a)
-        qa = Q(za)
-        if qa.is_certified_nonzero and qa.valuation == 0:
+        acc = 0
+        for c in top:
+            acc = acc * a + c
+        if acc % p:
             continue
-        da = Qprime(za)
-        if not da.is_certified_nonzero or da.valuation != 0:
+        acc = 0
+        for c in dtop:
+            acc = acc * a + c
+        if not acc % p:
             unresolved.append(a)
             continue
-        x = za
+        x = ctx.integer(a)
         for _ in range(n_prec.bit_length() + 3):
             fx = Q(x)
             if fx.is_zero_to_precision and fx.zero_bound >= n_prec - _FIXED_POINT_SLACK:

@@ -308,7 +308,8 @@ def verify_functional_equation(lin: Linearization) -> TruncatedSeries:
     """
     t = lin.exp_series.order
     G = lin.conjugate_poly
-    g_series = TruncatedSeries.from_coefficients(G.ctx, G.coefficients, order=t)
+    # every coefficient of G: compose reads the outer's envelope over all of them
+    g_series = TruncatedSeries.from_coefficients(G.ctx, G.coefficients, order=max(t, G.degree))
     lhs = g_series.compose(lin.exp_series)
     scaled = TruncatedSeries.variable(lin.base_poly.ctx, t).scale(lin.multiplier)
     rhs = lin.exp_series.compose(scaled)

@@ -195,13 +195,20 @@ def load_problem(text: str, path: str = "problem",
 
 
 def _discover_fixed_point(P: Polynomial, index: int) -> PadicNumber:
-    scan = find_fixed_points(P)
+    try:
+        scan = find_fixed_points(P)
+    except ValidationError as exc:
+        raise ValidationError(
+            f"polynomial {index}: {exc}; specify fixed_points explicitly"
+        ) from exc
     attracting = [fp for fp in scan.points if fp.classification == ATTRACTING]
     if len(attracting) == 1:
         return attracting[0].point
     if not attracting:
+        unresolved = ", ".join(str(a) for a in scan.unresolved_residues)
+        classes = f" (unresolved residue classes mod p: {unresolved})" if unresolved else ""
         raise ValidationError(
-            f"polynomial {index}: no attracting fixed point found in Z_p;"
+            f"polynomial {index}: no attracting fixed point found in Z_p{classes};"
             " specify fixed_points explicitly"
         )
     raise ValidationError(

@@ -79,10 +79,16 @@ class TruncatedSeries:
 
     @classmethod
     def from_coefficients(cls, ctx, coefficients, order=None, tail=ZERO_TAIL):
-        """Series with the given low-order coefficients (ints are coerced)."""
+        """Series with the given low-order coefficients (ints are coerced).
+
+        Coefficients above ``order`` must be exact zeros: the tail bound would
+        claim that any other one does not exist.
+        """
         coeffs = [ctx.element(c) for c in coefficients]
         if order is None:
             order = len(coeffs) - 1
+        if not all(c.is_exact_zero for c in coeffs[order + 1:]):
+            raise ValueError(f"a coefficient above truncation order {order} is not an exact zero")
         vals, units, precs = [], [], []
         for i in range(order + 1):
             if i < len(coeffs):
@@ -98,8 +104,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, ctx, order):
-        n = order + 1
-        return cls(ctx, order, [INF_BOUND] * n, [0] * n, [0] * n)
+        return cls.from_coefficients(ctx, [], order)
 
     @classmethod
     def constant(cls, ctx, value, order):
@@ -171,13 +176,7 @@ class TruncatedSeries:
 
     def __add__(self, other):
         if isinstance(other, (PadicNumber, int)):
-            c = self.ctx.element(other)
-            vals = list(self._v)
-            units = list(self._u)
-            precs = list(self._k)
-            v, u, k = _core.tr_add(self.ctx.prime, vals[0], units[0], precs[0], c._v, c._u, c._k)
-            vals[0], units[0], precs[0] = v, u, k
-            return TruncatedSeries(self.ctx, self._t, vals, units, precs, self.tail)
+            other = TruncatedSeries.constant(self.ctx, other, self._t)
         self._check_compatible(other)
         t = min(self._t, other._t)
         a, b = self.truncate(t), other.truncate(t)
@@ -201,18 +200,10 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ctx.prime
-        vals, units, precs = [], [], []
-        for i in range(self._t + 1):
-            v, u, k = _core.tr_neg(p, self._v[i], self._u[i], self._k[i])
-            vals.append(v)
-            units.append(u)
-            precs.append(k)
-        return TruncatedSeries(self.ctx, self._t, vals, units, precs, self.tail)
+        # for a coefficient of at most N digits, u * (p^N - 1) mod p^k is p^k - u
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (PadicNumber, int)):
-            return self + (-self.ctx.element(other))
         return self + (-other)
 
     def scale(self, scalar: PadicNumber) -> "TruncatedSeries":
@@ -360,22 +351,14 @@ class TruncatedSeries:
         it (strictly above to its right).
         """
         m = radius_valuation
-        pts = []
-        uncertain = []
-        for i in range(self._t + 1):
-            if self._u[i] != 0:
-                pts.append((i, self._v[i]))
-            elif self._v[i] < INF_BOUND:
-                uncertain.append((i, self._v[i]))
-        if not pts:
-            raise PrecisionError("no certified nonzero coefficient up to the truncation order")
-        hull = _lower_hull(pts)
-        n_m, y_m = hull[0]
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if y2 - y1 <= -m * (x2 - x1):  # slope <= -m, as x2 > x1
-                n_m, y_m = x2, y2
-            else:
+        segments = self.hull_segments()
+        n_m = next(i for i, u in enumerate(self._u) if u)  # the hull's first vertex
+        y_m = self._v[n_m]
+        for rise, run in segments:
+            if rise > -m * run:  # slope above -m, as run > 0
                 break
+            n_m, y_m = n_m + run, y_m + rise
+        uncertain = [(i, v) for i, v in enumerate(self._v) if not self._u[i] and v < INF_BOUND]
         certified = True
         reason = None
         for j, b in uncertain:

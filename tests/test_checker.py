@@ -1,6 +1,7 @@
 """The intersection analysis: validation, scanning, lambdas, F-series, verdicts."""
 
 import copy
+import re
 
 import pytest
 
@@ -80,6 +81,41 @@ class TestValidate:
                           [MultivariatePoly(ctx, 1, {(1,): 1})], 16, 10)
         with pytest.raises(ValidationError):
             validate(spec)
+
+
+@pytest.mark.parametrize("field, make, message", [
+    ("truncation", lambda c: {"t": 0}, "truncation must be >= 1, got 0"),
+    ("truncation", lambda c: {"t": -1}, "truncation must be >= 1, got -1"),
+    ("max_direct_iterations", lambda c: {"n_max": -1},
+     "max_direct_iterations must be >= 0, got -1"),
+    ("start", lambda c: {"start": [PadicNumber(c, 1, 1, 40), c.integer(9)]},
+     "start[1] carries 40 digits, more than the working precision 32"),
+    ("start", lambda c: {"start": [c.integer(3), PadicNumber(c, 1, 3, 10)]},
+     "start[2] has a unit outside 1 <= u < p^10 with p not dividing u"),
+    ("start", lambda c: {"start": [c.integer(3), PadicNumber(c, 1, 3**10 + 1, 10)]},
+     "start[2] has a unit outside 1 <= u < p^10 with p not dividing u"),
+    ("fixed_points", lambda c: {"fixed_points": [c.zero(), PadicNumber(c, 0, 1, 33)]},
+     "fixed_points[2] carries 33 digits"),
+    ("maps", lambda c: {"maps": [Polynomial(c, [0, 3, PadicNumber(c, 0, 1, 64)])] * 2},
+     "maps[1] coefficient of X^2 carries 64 digits"),
+], ids=["truncation-0", "truncation-negative", "iterations-negative", "start-long",
+        "start-unit-divisible", "start-unit-too-large", "fixed-point-long", "map-long"])
+def test_validate_names_the_field_out_of_range(field, make, message):
+    """validate names the field of a truncation, iteration cap or value out of
+    range.  Unchecked, truncation 0 and -1 end in a bare ZeroDivisionError or
+    ValueError, and a start value of 40 digits at N = 32 ends in a verdict."""
+    c = PadicContext(3, 32)
+    P = Polynomial(c, [0, 3, 1])
+    args = {"maps": [P, P], "fixed_points": [c.zero(), c.zero()],
+            "start": [c.integer(3), c.integer(9)], "t": 8, "n_max": 40}
+    args.update(make(c))
+    spec = SystemSpec(c, args["maps"], args["fixed_points"], args["start"],
+                      [diag_generator(c)], args["t"], args["n_max"])
+    with pytest.raises(ValidationError, match=re.escape(message)) as info:
+        validate(spec)
+    assert str(info.value).startswith(field)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        analyze(spec)
 
 
 class TestSharedLinearizations:

@@ -2,11 +2,16 @@
 
 import copy
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import padicdyn.cli
 from padicdyn.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, doc):
@@ -152,6 +157,37 @@ def test_malformed_input_exit_3(tmp_path, capsys, field, value, message):
     assert "Traceback" not in captured.err
 
 
+def test_discovery_above_the_prime_bound_exits_3_quickly(tmp_path):
+    # in a process of its own: a scan of every residue mod p would run for hours
+    p = 1_000_000_007
+    doc = copy.deepcopy(DIAG)
+    del doc["fixed_points"]
+    doc["prime"] = p
+    doc["polynomials"] = [["0", str(p), "1"], ["0", str(p), "1"]]
+    doc["start"] = [str(p), str(p * p)]
+    path = write(tmp_path, "big.json", doc)
+    code = (
+        "import sys, time; sys.path.insert(0, sys.argv[1]); import padicdyn.cli;"
+        " t = time.perf_counter(); c = padicdyn.cli.main(['check', sys.argv[2]]);"
+        " print(time.perf_counter() - t); sys.exit(c)"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src"), path],
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 3 and float(out.stdout) < 1
+    assert out.stderr.startswith("error: polynomial 1: fixed-point discovery")
+    assert "fixed_points" in out.stderr
+
+
+def test_discovery_names_the_unresolved_classes(tmp_path, capsys):
+    doc = copy.deepcopy(DIAG)
+    del doc["fixed_points"]
+    doc["polynomials"][0] = ["0", "3", "1/3"]
+    path = write(tmp_path, "third.json", doc)
+    assert main(["check", path]) == 3
+    err = capsys.readouterr().err
+    assert "(unresolved residue classes mod p: 0)" in err and "fixed_points" in err
+
+
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     def broken(spec):
         raise RuntimeError("boom")
@@ -177,6 +213,24 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "attracting" in out
         assert "indifferent" in out  # 1 - p
+
+    def test_fixed_points_of_a_non_integral_map(self, tmp_path, capsys):
+        # X^2/3 + 3X at p = 3: Q(1) = 7/3 and Q(2) = 16/3 are not 0 mod 3
+        doc = copy.deepcopy(DIAG)
+        doc["polynomials"][0] = ["0", "3", "1/3"]
+        path = write(tmp_path, "third.json", doc)
+        assert main(["fixed-points", path, "--map-index", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out == "unresolved residue class: 0 mod 3 (Hensel criterion fails)\n"
+
+    def test_linearize_reads_coefficients_above_the_truncation(self, tmp_path, capsys):
+        # G = X^5 + X^4 + X^3 + X^2 + 3X has coefficients above T = 2
+        doc = copy.deepcopy(DIAG)
+        doc["polynomials"][0] = ["0", "3", "1", "1", "1", "1"]
+        path = write(tmp_path, "quintic.json", doc)
+        assert main(["linearize", path, "--truncation", "2", "--map-index", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "functional equation residual: certified zero" in out
 
     def test_orbit_output(self, tmp_path, capsys):
         path = write(tmp_path, "diag.json", DIAG)

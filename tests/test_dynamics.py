@@ -13,6 +13,7 @@ from padicdyn import (
     ValidationError,
     find_fixed_points,
 )
+from padicdyn import dynamics
 from padicdyn.dynamics import orbit_distances
 
 
@@ -144,6 +145,28 @@ class TestFixedPoints:
         P = Polynomial(c3, [0, 1, 1])
         scan = find_fixed_points(P)
         assert 0 in scan.unresolved_residues
+
+    def test_non_integral_map_scans_the_primitive_residues(self):
+        # Q = X^2/3 + 2X is not 3-integral: 3Q = X(X + 6) reads X^2 mod 3, so
+        # class 0 (holding both roots 0 and -6) is unresolved and Q(1) = 7/3,
+        # Q(2) = 16/3 put classes 1 and 2 out
+        c3 = PadicContext(3, 32)
+        scan = find_fixed_points(Polynomial(c3, [0, 3, c3.from_rational(1, 3)]))
+        assert scan.points == [] and scan.unresolved_residues == [0]
+
+    def test_primes_above_the_discovery_bound_are_refused(self):
+        ctx = PadicContext(1_048_583, 8)  # the least prime above 2^20
+        with pytest.raises(ValidationError, match=f"p <= {dynamics.DISCOVERY_PRIME_BOUND}"):
+            find_fixed_points(Polynomial(ctx, [0, ctx.prime, 1]))
+
+    def test_unreadable_residue_is_refused(self, c3):
+        # Q = O(3^0) + 2X + X^2: its constant term has no digit mod 3
+        with pytest.raises(ValidationError, match="coefficient of X\\^0"):
+            find_fixed_points(Polynomial(c3, [c3.zero(0), 3, 1]))
+        # O(3^1) reads as 0 mod 3, so the classes of X(X + 2) are scanned, but
+        # no lift gets past O(3^1)
+        scan = find_fixed_points(Polynomial(c3, [c3.zero(1), 3, 1]))
+        assert scan.points == [] and scan.unresolved_residues == [0, 1]
 
 
 class TestAttractingRadius:

@@ -5,9 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn import PadicContext, Polynomial, PrecisionError, TruncatedSeries, linearize
+from padicdyn import _core
 from padicdyn.series import ZERO_TAIL, TailBound
+from test_triple_paths import numbers  # exact zero, inexact zero, or a unit of k <= N digits
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +72,15 @@ class TestRingOps:
         g = f.truncate(2)
         assert not g.tail.is_infinite
         assert g.tail.bound_at(4) <= 2  # the dropped 9 = 3^2 stays bounded
+
+    def test_coefficients_above_the_order_must_be_exact_zeros(self, ctx):
+        # the exact zero tail would claim that a dropped 3 at degree 2 does not exist
+        with pytest.raises(ValueError, match="above truncation order 1"):
+            TruncatedSeries.from_coefficients(ctx, [1, 2, 3], order=1)
+        with pytest.raises(ValueError):
+            TruncatedSeries.from_coefficients(ctx, [1, 0, ctx.zero(30)], order=1)
+        f = TruncatedSeries.from_coefficients(ctx, [1, 2, 0, ctx.zero()], order=1)
+        assert f.order == 1 and f.tail == ZERO_TAIL
 
     def test_scale(self, ctx):
         f = TruncatedSeries.from_coefficients(ctx, [1, 2], order=3)
@@ -253,3 +266,55 @@ class TestEvaluate:
                 c = full.coefficient(n)
                 if c.is_certified_nonzero:
                     assert Fraction(c.valuation) >= low.tail.bound_at(n)
+
+
+# -- the deleted second paths of negation and of adding a number ------------------
+
+
+def reference_neg(s):
+    """The former ``TruncatedSeries.__neg__``: one ``tr_neg`` per coefficient."""
+    p = s.ctx.prime
+    vals, units, precs = [], [], []
+    for i in range(s.order + 1):
+        v, u, k = _core.tr_neg(p, s._v[i], s._u[i], s._k[i])
+        vals.append(v)
+        units.append(u)
+        precs.append(k)
+    return TruncatedSeries(s.ctx, s.order, vals, units, precs, s.tail)
+
+
+def reference_add_number(s, other):
+    """The former ``series + number``: a copy with ``tr_add`` at degree 0."""
+    c = s.ctx.element(other)
+    vals = list(s._v)
+    units = list(s._u)
+    precs = list(s._k)
+    v, u, k = _core.tr_add(s.ctx.prime, vals[0], units[0], precs[0], c._v, c._u, c._k)
+    vals[0], units[0], precs[0] = v, u, k
+    return TruncatedSeries(s.ctx, s.order, vals, units, precs, s.tail)
+
+
+def series_triples(s):
+    return s.order, s._v, s._u, s._k, s.tail
+
+
+@st.composite
+def series_and_numbers(draw):
+    ctx = PadicContext(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 12)))
+    coeffs = draw(st.lists(numbers(ctx), min_size=1, max_size=7))
+    tail = draw(st.sampled_from([ZERO_TAIL, TailBound(-1, 3), TailBound(2, -5)]))
+    s = TruncatedSeries.from_coefficients(ctx, coeffs, tail=tail)
+    c = draw(st.one_of(numbers(ctx), st.integers(-10**6, 10**6)))
+    return s, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_and_numbers())
+def test_negation_and_number_sums_match_the_deleted_paths(case):
+    s, c = case
+    neg_c = -s.ctx.element(c)
+    assert series_triples(-s) == series_triples(reference_neg(s))
+    assert series_triples(s + c) == series_triples(reference_add_number(s, c))
+    assert series_triples(c + s) == series_triples(reference_add_number(s, c))
+    assert series_triples(s - c) == series_triples(reference_add_number(s, neg_c))
+    assert series_triples(s - s) == series_triples(s + reference_neg(s))
