@@ -26,6 +26,7 @@ import math
 from . import _core
 from .errors import PrecisionError, ValidationError
 from .padic import INF_BOUND, PadicContext, PadicNumber
+from .dynamics import contraction_radius
 from .linearize import linearize
 from .series import TruncatedSeries
 
@@ -263,43 +264,101 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     Raises PrecisionError (with ``failing_index``) when a coordinate that
     started resolved becomes indistinguishable from its fixed point, the
     expected exhaustion mode of long orbits at fixed precision.
+
+    The generators are evaluated in order up to the first that does not
+    vanish, so a step usually reads one or two coordinates.  A coordinate is
+    advanced every step, with its collapse test, until it is *settled*: no
+    collapse test can fire for it again.  From then on it is advanced, one
+    step at a time, only when a generator reads it.  Every value read is the
+    triple the every-step iteration computes, so the hits and the error are
+    those of advancing every coordinate every step.  A coordinate is settled
+
+    * from n = 0 when it starts indistinguishable from alpha (it is never
+      tested), or
+    * at index n when alpha and P(0) are exact zeros, P's linear coefficient
+      b1 is certified nonzero with v(b1) >= 1, z_n is a unit with
+      v(z_n) >= m = ``contraction_radius(P.coefficients, v(b1))``, and
+      v(z_n) + k(z_n) + (n_max - n) v(b1) <= INF_BOUND.
+
+    Lemma: then every later z_{n+j} (j <= n_max - n) is a unit of valuation
+    v(z_n) + j v(b1), with absolute precision at most INF_BOUND, so its
+    collapse test (z itself at alpha = 0) passes.  Take one step from such a
+    z; ``horner`` returns the triple of the plain loop of ``tr_mul`` and
+    ``tr_add``.  Neither call returns a valuation or zero bound below the least
+    of its operands', so Horner's partial sum above b1, times z, has a
+    valuation or bound at least the least v(b_i) + (i - 1) v(z) over i >= 2
+    (INF_BOUND for exact zeros), which exceeds v(b1) since v(z) >= m (and
+    v(b1) < INF_BOUND while a step remains).  A sum whose operand of strictly
+    least valuation is a unit is a unit of that valuation, so adding b1 gives a unit of valuation v(b1); times the unit z, a unit of
+    valuation v(b1) + v(z); its absolute precision is at most
+    v(z) + k(z) + v(b1) <= INF_BOUND, so adding the exact zero P(0) leaves
+    it.  The next value again satisfies every condition, with n + 1.
     """
     spec = validated.spec
     if n_max is None:
         n_max = spec.max_direct_iterations
     p = spec.ctx.prime
     maps = [P.eval_triple for P in spec.maps]
-    variety = [f.eval_triples for f in spec.variety]
+    # each generator with the coordinates it reads (a nonzero exponent)
+    variety = [
+        (f.eval_triples, sorted({i for expo in f.terms for i, e in enumerate(expo) if e}))
+        for f in spec.variety
+    ]
     # z - alpha is z + (-alpha): negate each fixed point once, then the
     # collapse test is one tr_add per coordinate per step.  At alpha = 0 exactly
     # the sum is z itself whenever z's absolute precision is at most INF_BOUND,
     # so z's unit decides with no call.
     neg_alphas = [_core.tr_neg(p, a._v, a._u, a._k) for a in spec.fixed_points]
+    # (m, v(b1)) for a coordinate the lemma can settle, else None
+    settling = []
+    for P, alpha in zip(spec.maps, spec.fixed_points):
+        b0, b1 = P.coefficients[0], P.coefficients[1]
+        if alpha.is_exact_zero and b0.is_exact_zero and b1.is_certified_nonzero and b1._v >= 1:
+            settling.append((contraction_radius(P.coefficients, b1._v), b1._v))
+        else:
+            settling.append(None)
     cur = [(x._v, x._u, x._k) for x in spec.start]
-    # a coordinate that starts indistinguishable from alpha is never tested
-    resolved = [True] * len(cur)
+    # at[i]: the index of cur[i] once coordinate i is settled, None before
+    at = [None] * len(cur)
+    eager = list(range(len(cur)))
     hits = []
     for n in range(n_max + 1):
-        if n > 0:
-            cur = [P(*z) for P, z in zip(maps, cur)]
-        for i, (zv, zu, zk) in enumerate(cur):
-            if not resolved[i]:
-                continue
+        settled = False
+        for i in eager:
+            if n > 0:
+                cur[i] = maps[i](*cur[i])
+            zv, zu, zk = cur[i]
             nv, nu, nk = neg_alphas[i]
             if nu or nv < INF_BOUND or zv + zk > INF_BOUND:
                 zu = _core.tr_add(p, zv, zu, zk, nv, nu, nk)[1]
-            if zu:
-                continue
-            if n == 0:
-                resolved[i] = False
-                continue
-            exc = PrecisionError(
-                f"orbit coordinate {i + 1} collapsed below working precision"
-                f" at index {n}: raise the precision to scan further"
-            )
-            exc.failing_index = n
-            raise exc
-        if all(f(cur)[1] == 0 for f in variety):
+            if not zu:
+                if n > 0:
+                    exc = PrecisionError(
+                        f"orbit coordinate {i + 1} collapsed below working precision"
+                        f" at index {n}: raise the precision to scan further"
+                    )
+                    exc.failing_index = n
+                    raise exc
+                at[i] = 0  # a coordinate that starts indistinguishable from alpha is never tested
+                settled = True
+            elif settling[i]:
+                m, vb1 = settling[i]
+                if zv >= m and zv + zk + (n_max - n) * vb1 <= INF_BOUND:
+                    at[i] = n
+                    settled = True
+        if settled:
+            eager = [i for i in eager if at[i] is None]
+        for f, reads in variety:
+            for i in reads:
+                j = at[i]
+                if j is not None and j < n:
+                    step, z = maps[i], cur[i]
+                    for _ in range(n - j):
+                        z = step(*z)
+                    cur[i], at[i] = z, n
+            if f(cur)[1]:
+                break
+        else:
             hits.append(n)
     return hits
 

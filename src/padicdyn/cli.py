@@ -20,7 +20,13 @@ from .errors import PrecisionError, ValidationError
 from .checker import analyze
 from .dynamics import find_fixed_points, orbit_distances
 from .linearize import linearize, verify_functional_equation
-from .problemfile import load_problem, render_padic, render_report
+from .problemfile import (
+    discover_fixed_point,
+    load_problem,
+    read_problem,
+    render_padic,
+    render_report,
+)
 
 _EXIT = {"finite": 0, "invariant_candidate": 1, "inconclusive": 2}
 _ERROR_EXIT = 3
@@ -37,7 +43,8 @@ def _fmt_padic(x) -> str:
     return f"v={d['valuation']} digits=[{ds}] prec={d['precision']}"
 
 
-def _load(args):
+def _load(args, parse):
+    """The problem of ``args.file``, by ``load_problem`` or ``read_problem``."""
     with open(args.file, "rb") as fh:
         data = fh.read()
     try:
@@ -46,7 +53,7 @@ def _load(args):
         raise ValidationError(
             f"{args.file}: not UTF-8 text: invalid byte at offset {exc.start}"
         ) from exc
-    return load_problem(
+    return parse(
         text,
         path=args.file,
         precision=getattr(args, "precision", None),
@@ -60,11 +67,17 @@ def _select_map(spec, index: int):
         raise ValidationError(
             f"--map-index {index} out of range 1..{len(spec.maps)}"
         )
-    return spec.maps[index - 1], spec.fixed_points[index - 1], spec.start[index - 1]
+    return spec.maps[index - 1]
+
+
+def _fixed_point(spec, index: int):
+    """Map ``index``'s fixed point, discovered when the file gives none."""
+    alpha = spec.fixed_points[index - 1]
+    return discover_fixed_point(spec.maps[index - 1], index) if alpha is None else alpha
 
 
 def _cmd_check(args) -> int:
-    spec = _load(args)
+    spec = _load(args, load_problem)
     report = analyze(spec)
     text = render_report(report, spec)
     if args.report:
@@ -76,9 +89,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_linearize(args) -> int:
-    spec = _load(args)
-    P, alpha, _ = _select_map(spec, args.map_index)
-    lin = linearize(P, alpha, spec.truncation)
+    spec = _load(args, read_problem)
+    P = _select_map(spec, args.map_index)
+    lin = linearize(P, _fixed_point(spec, args.map_index), spec.truncation)
     print(f"fixed point: {_fmt_padic(lin.fixed_point)}")
     print(f"multiplier:  {_fmt_padic(lin.multiplier)}")
     print(f"convergence radius valuation: {lin.convergence_radius_valuation}")
@@ -92,9 +105,8 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_fixed_points(args) -> int:
-    spec = _load(args)
-    P, _, _ = _select_map(spec, args.map_index)
-    scan = find_fixed_points(P)
+    spec = _load(args, read_problem)
+    scan = find_fixed_points(_select_map(spec, args.map_index))
     if not scan.points and not scan.unresolved_residues:
         print("no Z_p fixed points found")
     for fp in scan.points:
@@ -110,11 +122,13 @@ def _cmd_fixed_points(args) -> int:
 def _cmd_orbit(args) -> int:
     if args.steps < 0:
         raise ValidationError(f"--steps {args.steps} must be >= 0")
-    spec = _load(args)
+    spec = _load(args, read_problem)
     indices = range(1, len(spec.maps) + 1) if args.map_index is None else [args.map_index]
-    for idx in indices:
-        P, alpha, x = _select_map(spec, idx)
-        points, dists, exhausted = orbit_distances(P, alpha, x, args.steps)
+    # every map read is checked and its fixed point found before any output
+    maps = [_select_map(spec, idx) for idx in indices]
+    alphas = [_fixed_point(spec, idx) for idx in indices]
+    for idx, P, alpha in zip(indices, maps, alphas):
+        points, dists, exhausted = orbit_distances(P, alpha, spec.start[idx - 1], args.steps)
         print(f"coordinate {idx}:")
         for n, (z, d) in enumerate(zip(points, dists)):
             dv = "unresolved" if d is None else str(d)

@@ -96,7 +96,26 @@ def _require(doc: dict, key: str, path: str):
 def load_problem(text: str, path: str = "problem",
                  precision: int | None = None, truncation: int | None = None,
                  max_iterations: int | None = None) -> SystemSpec:
-    """Parse a problem document into a SystemSpec (overrides win over fields)."""
+    """Parse a problem document into a SystemSpec (overrides win over fields).
+
+    When the document has no ``fixed_points``, each map's is discovered
+    (``discover_fixed_point``) as it is parsed.
+    """
+    return _parse(text, path, precision, truncation, max_iterations, discover_fixed_point)
+
+
+def read_problem(text: str, path: str = "problem",
+                 precision: int | None = None, truncation: int | None = None,
+                 max_iterations: int | None = None) -> SystemSpec:
+    """``load_problem`` without discovery: when the document has no
+    ``fixed_points``, every entry of the spec's ``fixed_points`` is None, for
+    a caller to discover only for the maps it reads."""
+    return _parse(text, path, precision, truncation, max_iterations, lambda P, index: None)
+
+
+def _parse(text, path, precision, truncation, max_iterations, discover) -> SystemSpec:
+    """The SystemSpec of a document; ``discover(P, index)`` stands in for
+    each fixed point when the document gives none."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -162,7 +181,7 @@ def load_problem(text: str, path: str = "problem",
             for i, s in enumerate(fp_doc, start=1)
         ]
     else:
-        fixed_points = [_discover_fixed_point(P, i) for i, P in enumerate(maps, start=1)]
+        fixed_points = [discover(P, i) for i, P in enumerate(maps, start=1)]
 
     variety_doc = _require(doc, "variety", path)
     if not isinstance(variety_doc, list) or not variety_doc:
@@ -194,7 +213,9 @@ def load_problem(text: str, path: str = "problem",
     return SystemSpec(ctx, maps, fixed_points, start, variety, t, n_max)
 
 
-def _discover_fixed_point(P: Polynomial, index: int) -> PadicNumber:
+def discover_fixed_point(P: Polynomial, index: int) -> PadicNumber:
+    """The one attracting Z_p fixed point of P, polynomial ``index`` (1-based)
+    of the document; ValidationError naming the polynomial otherwise."""
     try:
         scan = find_fixed_points(P)
     except ValidationError as exc:

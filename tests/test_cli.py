@@ -188,6 +188,31 @@ def test_discovery_names_the_unresolved_classes(tmp_path, capsys):
     assert "(unresolved residue classes mod p: 0)" in err and "fixed_points" in err
 
 
+def test_subcommands_discover_only_the_maps_they_read(tmp_path, capsys):
+    # map 1, X^2/3 + 3X at p = 3, has no discoverable attracting fixed point
+    doc = copy.deepcopy(DIAG)
+    del doc["fixed_points"]
+    doc["polynomials"] = [["0", "3", "1/3"], ["0", "3", "1"], ["0", "3", "2"]]
+    doc["start"] = ["9", "9", "3"]
+    doc["variety"] = [[{"exponents": [1, 0, 0], "coefficient": "1"},
+                       {"exponents": [0, 1, 0], "coefficient": "-1"}]]
+    path = write(tmp_path, "third.json", doc)
+    failure = "error: polynomial 1: no attracting fixed point found in Z_p"
+    for args in (["fixed-points", path, "--map-index", "1"],
+                 ["fixed-points", path, "--map-index", "2"],
+                 ["linearize", path, "--map-index", "2"],
+                 ["orbit", path, "--steps", "3", "--map-index", "3"]):
+        assert main(args) == 0, args
+        out, err = capsys.readouterr()
+        assert out and err == "", args
+    for args in (["check", path],
+                 ["linearize", path, "--map-index", "1"],
+                 ["orbit", path, "--steps", "3"]):
+        assert main(args) == 3, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(failure), args
+
+
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     def broken(spec):
         raise RuntimeError("boom")

@@ -6,7 +6,9 @@ and ``checker.direct_orbit_scan`` run on ``(v, u, k)`` triples through
 below as references.  On every input the new code must return exactly their
 triples, and the scan the same hits or the same failing index and message.
 Every triple the new code returns must also be canonical (a unit below
-``p**k``), which a kernel that skipped a reduction would break.
+``p**k``), which a kernel that skipped a reduction would break.  The scan
+advances a settled coordinate only when a generator reads it; the reference
+advances every coordinate every step.
 """
 
 import random
@@ -25,6 +27,7 @@ from padicdyn import (
     direct_orbit_scan,
     validate,
 )
+from padicdyn.checker import ValidatedSystem
 from padicdyn.padic import INF_BOUND
 
 from corpus import build_corpus
@@ -264,3 +267,114 @@ def test_constant_polynomial_and_other_contexts():
     f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
     with pytest.raises(ValueError, match="different p-adic contexts"):
         f.evaluate([other.integer(1), ctx.integer(1)])
+
+
+# -- the scan's settling rule --------------------------------------------------
+
+
+def settling_system(rng, p, precision):
+    """alpha = 0 in every coordinate and one shared multiplier b1; P(0) an
+    exact zero or O(p^M); higher coefficients exact or inexact zeros and units
+    of any valuation, negative ones included; some starts unresolved; each
+    generator reads a random subset of the coordinates, in random order."""
+    ctx = PadicContext(p, precision)
+    g = rng.randint(2, 4)
+    b1 = PadicNumber(ctx, rng.randint(1, 3), rng.choice([1, p + 1, p - 1]), precision)
+    maps, start = [], []
+    for _ in range(g):
+        b0 = ctx.zero() if rng.random() < 0.7 else ctx.zero(rng.randint(5, 40))
+        higher = [random_number(rng, ctx) for _ in range(rng.randint(0, 3))]
+        top = random_number(rng, ctx, allow_zero=False)
+        maps.append(Polynomial(ctx, [b0, b1] + higher + [top]))
+        kind = rng.random()
+        if kind < 0.15:
+            start.append(ctx.zero() if rng.random() < 0.5 else ctx.zero(rng.randint(1, 9)))
+        else:
+            k = rng.randint(1, precision)
+            start.append(PadicNumber(ctx, rng.randint(1, 4), rng.randrange(1, p**k, p), k))
+    variety = []
+    for _ in range(rng.randint(1, 3)):
+        read = rng.sample(range(g), rng.randint(1, g))
+        terms = {}
+        for i in read:
+            expo = [0] * g
+            expo[i] = rng.randint(1, 3)
+            terms[tuple(expo)] = random_number(rng, ctx, allow_zero=False)
+        if rng.random() < 0.5:
+            terms[(0,) * g] = random_number(rng, ctx, allow_zero=False)
+        variety.append(MultivariatePoly(ctx, g, terms))
+    spec = SystemSpec(ctx, maps, [ctx.zero()] * g, start, variety, 4, 80)
+    # the scan reads only the spec, so these systems need not pass validate
+    return ValidatedSystem(spec, [], b1, 0, list(start), False)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_settling_systems_match_reference(p, monkeypatch):
+    """Hits, or the collapse's failing index and message, equal the reference's;
+    and the scan does skip map evaluations on some of these systems."""
+    calls = [0]
+    eval_triple = Polynomial.eval_triple
+
+    def counted(self, *z):
+        calls[0] += 1
+        return eval_triple(self, *z)
+
+    monkeypatch.setattr(Polynomial, "eval_triple", counted)
+    rng = random.Random(7100 + p)
+    outcomes = set()
+    skipped = 0
+    for _ in range(150):
+        validated = settling_system(rng, p, rng.choice([8, 24, 60]))
+        n_max = rng.choice([0, 1, 10, 40, 80])
+        calls[0] = 0
+        new = scan_outcome(direct_orbit_scan, validated, n_max)
+        skipped += calls[0] < n_max * len(validated.spec.maps)
+        assert new == scan_outcome(reference_direct_orbit_scan, validated, n_max)
+        outcomes.add(new[0] if new[0] == "collapsed" else bool(new[1]))
+    assert outcomes == {"collapsed", True, False}
+    assert skipped >= 30
+
+
+@pytest.mark.parametrize("case", ["expanding", "near_inf_bound"])
+def test_unread_coordinate_that_cannot_settle_still_collapses(case):
+    """X2 is never read, and it collapses where the reference says.
+    ``expanding``: X/3 - X^2 at p = 3 has v(b1) = -1, so the valuation falls
+    to where b1 z and -z^2 cancel.  ``near_inf_bound``: 3X + X^2 from a start
+    of valuation INF_BOUND - 20 reaches INF_BOUND, an exact zero's bound."""
+    ctx = PadicContext(3, 3)
+    if case == "expanding":
+        P, x2 = Polynomial(ctx, [0, ctx.from_rational(1, 3), -1]), ctx.integer(27)
+    else:
+        P, x2 = Polynomial(ctx, [0, 3, 1]), PadicNumber(ctx, INF_BOUND - 20, 1, 3)
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 0): -1})
+    spec = SystemSpec(ctx, [Polynomial(ctx, [0, 3, 1]), P], [ctx.zero()] * 2,
+                      [ctx.integer(3), x2], [f], 4, 40)
+    validated = ValidatedSystem(spec, [], None, 0, list(spec.start), False)
+    new = scan_outcome(direct_orbit_scan, validated, 40)
+    assert new == scan_outcome(reference_direct_orbit_scan, validated, 40)
+    assert new[0] == "collapsed"
+
+
+def test_scan_advances_a_settled_coordinate_only_when_read(monkeypatch):
+    """X1 - 1 never vanishes, so the second generator, the only one to read X2
+    and X3, is never evaluated: their maps run only until they settle."""
+    ctx = PadicContext(3, 200)
+    maps = [Polynomial(ctx, [0, 3, 1]) for _ in range(3)]  # contraction radius 2
+    f1 = MultivariatePoly(ctx, 3, {(1, 0, 0): 1, (0, 0, 0): -1})
+    f2 = MultivariatePoly(ctx, 3, {(0, 1, 0): 1, (0, 0, 1): -1})
+    # X2 starts at valuation 2 (settled at n = 0), X3 at 1 (settled at n = 1)
+    start = [ctx.integer(3), ctx.integer(9), ctx.integer(3)]
+    spec = SystemSpec(ctx, maps, [ctx.zero()] * 3, start, [f1, f2], 4, 40)
+    validated = validate(spec)
+    runs = {id(P): 0 for P in maps}
+    eval_triple = Polynomial.eval_triple
+
+    def counted(self, *z):
+        runs[id(self)] += 1
+        return eval_triple(self, *z)
+
+    monkeypatch.setattr(Polynomial, "eval_triple", counted)
+    assert direct_orbit_scan(validated, 40) == []
+    assert [runs[id(P)] for P in maps] == [40, 0, 1]
+    monkeypatch.undo()
+    assert reference_direct_orbit_scan(validated, 40) == []
