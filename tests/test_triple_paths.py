@@ -335,19 +335,23 @@ def test_settling_systems_match_reference(p, monkeypatch):
     assert skipped >= 30
 
 
-@pytest.mark.parametrize("case", ["expanding", "near_inf_bound"])
+@pytest.mark.parametrize("case", ["expanding", "near_inf_bound", "inexact_alpha"])
 def test_unread_coordinate_that_cannot_settle_still_collapses(case):
     """X2 is never read, and it collapses where the reference says.
     ``expanding``: X/3 - X^2 at p = 3 has v(b1) = -1, so the valuation falls
     to where b1 z and -z^2 cancel.  ``near_inf_bound``: 3X + X^2 from a start
-    of valuation INF_BOUND - 20 reaches INF_BOUND, an exact zero's bound."""
+    of valuation INF_BOUND - 20 reaches INF_BOUND, an exact zero's bound.
+    ``inexact_alpha``: 3X + X^2 from 3 reaches alpha = O(3^12)."""
     ctx = PadicContext(3, 3)
+    P, x2, alpha2 = Polynomial(ctx, [0, 3, 1]), ctx.integer(3), ctx.zero()
     if case == "expanding":
         P, x2 = Polynomial(ctx, [0, ctx.from_rational(1, 3), -1]), ctx.integer(27)
+    elif case == "near_inf_bound":
+        x2 = PadicNumber(ctx, INF_BOUND - 20, 1, 3)
     else:
-        P, x2 = Polynomial(ctx, [0, 3, 1]), PadicNumber(ctx, INF_BOUND - 20, 1, 3)
+        alpha2 = ctx.zero(12)
     f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 0): -1})
-    spec = SystemSpec(ctx, [Polynomial(ctx, [0, 3, 1]), P], [ctx.zero()] * 2,
+    spec = SystemSpec(ctx, [Polynomial(ctx, [0, 3, 1]), P], [ctx.zero(), alpha2],
                       [ctx.integer(3), x2], [f], 4, 40)
     validated = ValidatedSystem(spec, [], None, 0, list(spec.start), False)
     new = scan_outcome(direct_orbit_scan, validated, 40)
