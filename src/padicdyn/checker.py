@@ -299,11 +299,7 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
         n_max = spec.max_direct_iterations
     p = spec.ctx.prime
     maps = [P.eval_triple for P in spec.maps]
-    # each generator with the coordinates it reads (a nonzero exponent)
-    variety = [
-        (f.eval_triples, sorted({i for expo in f.terms for i, e in enumerate(expo) if e}))
-        for f in spec.variety
-    ]
+    variety = [(f.eval_triples, f.variables) for f in spec.variety]
     # z - alpha is z + (-alpha): negate each fixed point once, then the
     # collapse test is one tr_add per coordinate per step.  At alpha = 0 exactly
     # the sum is z itself whenever z's absolute precision is at most INF_BOUND,
@@ -420,7 +416,7 @@ def build_F(validated: ValidatedSystem, lead: int, lambdas: list) -> list:
     ctx = spec.ctx
     t = spec.truncation
     log_lead = validated.linearizations[lead].log_series
-    read = {i for f in spec.variety for expo in f.terms for i, e in enumerate(expo) if e}
+    read = {i for f in spec.variety for i in f.variables}
     coords = []
     for i, lin in enumerate(validated.linearizations):
         alpha = lin.fixed_point

@@ -200,8 +200,11 @@ def find_fixed_points(P: Polynomial) -> FixedPointScan:
 def contraction_radius(g, v1: int) -> int:
     """Smallest integer m >= 1 with v(b_i) + (i - 1) m > v1 for every i >= 2.
 
-    ``g`` lists the coefficients b_0, b_1, ... of a conjugate map fixing 0 and
-    ``v1`` is the valuation of its multiplier b_1; exact zeros impose nothing.
+    ``g`` lists coefficients b_0, b_1, ...: for a map fixing 0 with ``v1`` the
+    valuation of its multiplier b_1, the ball {v >= m} is where it scales
+    distances by exactly |b_1|; for a series with b_1 = 1 and ``v1`` = 0, where
+    the terms above the linear one are strictly dominated.  v(b_i) is read as
+    its lower bound, and exact zeros impose nothing.
     """
     m = 1
     for i in range(2, len(g)):

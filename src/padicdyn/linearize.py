@@ -27,7 +27,7 @@ from . import _core
 from .errors import ValidationError
 from .padic import Ball, INF_BOUND, PadicNumber
 from .series import TailBound, TruncatedSeries
-from .dynamics import Polynomial, contraction_radius
+from .dynamics import ATTRACTING, INDIFFERENT, SUPERATTRACTING, Polynomial, _classify, contraction_radius
 
 _HEADROOM = 8
 
@@ -56,15 +56,22 @@ def _integrality_defect(G: Polynomial) -> int:
     return w
 
 
+_MULTIPLIER_REFUSALS = {
+    SUPERATTRACTING: "multiplier is zero to precision (superattracting): not supported",
+    INDIFFERENT: (
+        "multiplier is a unit (indifferent fixed point): the attracting"
+        " hypothesis 0 < |P'(alpha)| < 1 fails"
+    ),
+}
+
+
 def _check_multiplier(G: Polynomial) -> PadicNumber:
+    """G's multiplier a1 when ``_classify`` calls it attracting; else the
+    ValidationError of its class."""
     a1 = G.coefficients[1]
-    if not a1.is_certified_nonzero:
-        raise ValidationError("multiplier is zero to precision (superattracting): not supported")
-    if a1.valuation < 1:
-        raise ValidationError(
-            "multiplier is a unit (indifferent fixed point): the attracting"
-            " hypothesis 0 < |P'(alpha)| < 1 fails"
-        )
+    cls = _classify(a1)
+    if cls != ATTRACTING:
+        raise ValidationError(_MULTIPLIER_REFUSALS[cls])
     return a1
 
 
@@ -236,10 +243,9 @@ class Linearization:
 
     def log_of(self, z: PadicNumber) -> PadicNumber:
         """L(z - alpha); requires z in the isometry ball."""
-        d = z - self.fixed_point
-        if not Ball(d.ctx.zero(), self.isometry_radius_valuation).contains(d):
+        if not self.isometry_ball.contains(z):
             raise ValidationError("argument outside the isometry ball")
-        return self.log_series.evaluate(d)
+        return self.log_series.evaluate(z - self.fixed_point)
 
     def exp_of(self, w: PadicNumber) -> PadicNumber:
         """alpha + E(w); requires v(w) >= the isometry radius."""
@@ -262,26 +268,16 @@ def isometry_radius(exp_series: TruncatedSeries, G: Polynomial) -> int:
       v(c_n) + n*m0 > m0 for computed n, and for the tail via its affine bound;
     * G contracts by exactly |a1|: v(b_i) + (i-1)*m0 > v(a1) for i >= 2.
 
-    Both maps are then isometries on the ball and G maps it into itself.
+    Both maps are then isometries on the ball and G maps it into itself.  The
+    computed terms and G each follow ``contraction_radius``, E's with c_1 = 1.
     """
-    m0 = 1
-    for n in range(2, exp_series.order + 1):
-        c = exp_series.coefficient(n)
-        if c.is_exact_zero:
-            continue
-        lb = c.valuation_lower_bound
-        need = -lb // (n - 1) + 1
-        if need > m0:
-            m0 = need
+    m0 = contraction_radius(exp_series.coefficients(), 0)
     tail = exp_series.tail
     if not tail.is_infinite:
         t = exp_series.order
-        # smallest m with (m + slope)*n + (offset - m) > 0 for all n > t
-        need = (-tail.slope * (t + 1) - tail.offset) // t + 1
-        if need > m0:
-            m0 = need
-        if m0 + tail.slope <= 0:
-            m0 = -tail.slope // 1 + 1
+        # smallest m with m + slope > 0 and (m + slope)*n + (offset - m) > 0
+        # for all n > t, where the left side is least at n = t + 1
+        m0 = max(m0, (-tail.slope * (t + 1) - tail.offset) // t + 1, 1 - tail.slope)
     return max(m0, contraction_radius(G.coefficients, G.coefficients[1].valuation))
 
 
@@ -293,9 +289,8 @@ def linearize(P: Polynomial, alpha: PadicNumber, order: int) -> Linearization:
     exp_series = koenigs_coefficients(G, order, divide)
     log_series = inverse_koenigs_coefficients(G, order, divide)
     rho = a1.valuation + _integrality_defect(G) + 2
+    # m0 >= rho: E's tail slope is -(rho - 1), so the tail alone needs m0 >= rho
     m0 = isometry_radius(exp_series, G)
-    if m0 < rho:
-        m0 = rho
     return Linearization(P, alpha, a1, G, exp_series, log_series, rho, m0)
 
 

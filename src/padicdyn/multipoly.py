@@ -17,9 +17,11 @@ class MultivariatePoly:
     coefficient as given; a term with a variable stores its coefficient's unit
     as the smaller of u and p**k - u, with a sign, so that -x is a product by
     (0, 1, k) and one ``tr_neg`` rather than an N-digit product by p**N - 1.
+    ``variables`` lists, in increasing order, the variables that some term
+    reads (a nonzero exponent).
     """
 
-    __slots__ = ("ctx", "nvars", "terms", "_monomials")
+    __slots__ = ("ctx", "nvars", "terms", "_monomials", "variables")
 
     def __init__(self, ctx: PadicContext, nvars: int, terms):
         if nvars < 1:
@@ -51,6 +53,7 @@ class MultivariatePoly:
             if negated:
                 u = p**c._k - u
             self._monomials.append((negated, (c._v, u, c._k), powers))
+        self.variables = tuple(sorted({i for _, _, powers in self._monomials for i, _ in powers}))
 
     def __repr__(self):
         return f"MultivariatePoly(nvars={self.nvars}, {len(self.terms)} terms)"

@@ -93,29 +93,35 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _rationals(ctx: PadicContext, items, key: str, g: int, path: str) -> list[PadicNumber]:
+    """``items``, the document's field ``key``, as a list of g rationals."""
+    if not isinstance(items, list) or len(items) != g:
+        raise ValidationError(f"{path}: {key} must list {g} rationals")
+    return [_parse_rational(ctx, s, f"{path}: {key}[{i}]") for i, s in enumerate(items, start=1)]
+
+
 def load_problem(text: str, path: str = "problem",
                  precision: int | None = None, truncation: int | None = None,
                  max_iterations: int | None = None) -> SystemSpec:
     """Parse a problem document into a SystemSpec (overrides win over fields).
 
-    When the document has no ``fixed_points``, each map's is discovered
-    (``discover_fixed_point``) as it is parsed.
+    ``read_problem``, then, when the document has no ``fixed_points``,
+    ``discover_fixed_point`` for each map in order.
     """
-    return _parse(text, path, precision, truncation, max_iterations, discover_fixed_point)
+    spec = read_problem(text, path, precision, truncation, max_iterations)
+    spec.fixed_points = [
+        discover_fixed_point(P, i) if alpha is None else alpha
+        for i, (P, alpha) in enumerate(zip(spec.maps, spec.fixed_points), start=1)
+    ]
+    return spec
 
 
 def read_problem(text: str, path: str = "problem",
                  precision: int | None = None, truncation: int | None = None,
                  max_iterations: int | None = None) -> SystemSpec:
-    """``load_problem`` without discovery: when the document has no
-    ``fixed_points``, every entry of the spec's ``fixed_points`` is None, for
-    a caller to discover only for the maps it reads."""
-    return _parse(text, path, precision, truncation, max_iterations, lambda P, index: None)
-
-
-def _parse(text, path, precision, truncation, max_iterations, discover) -> SystemSpec:
-    """The SystemSpec of a document; ``discover(P, index)`` stands in for
-    each fixed point when the document gives none."""
+    """The SystemSpec of a document, without discovery: when the document has
+    no ``fixed_points``, every entry of the spec's ``fixed_points`` is None,
+    for a caller to discover only for the maps it reads."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -164,24 +170,11 @@ def _parse(text, path, precision, truncation, max_iterations, discover) -> Syste
         )
     g = len(maps)
 
-    start_doc = _require(doc, "start", path)
-    if not isinstance(start_doc, list) or len(start_doc) != g:
-        raise ValidationError(f"{path}: start must list {g} rationals")
-    start = [
-        _parse_rational(ctx, s, f"{path}: start[{i}]")
-        for i, s in enumerate(start_doc, start=1)
-    ]
-
+    start = _rationals(ctx, _require(doc, "start", path), "start", g, path)
     if "fixed_points" in doc:
-        fp_doc = doc["fixed_points"]
-        if not isinstance(fp_doc, list) or len(fp_doc) != g:
-            raise ValidationError(f"{path}: fixed_points must list {g} rationals")
-        fixed_points = [
-            _parse_rational(ctx, s, f"{path}: fixed_points[{i}]")
-            for i, s in enumerate(fp_doc, start=1)
-        ]
+        fixed_points = _rationals(ctx, doc["fixed_points"], "fixed_points", g, path)
     else:
-        fixed_points = [discover(P, i) for i, P in enumerate(maps, start=1)]
+        fixed_points = [None] * g
 
     variety_doc = _require(doc, "variety", path)
     if not isinstance(variety_doc, list) or not variety_doc:

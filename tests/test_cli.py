@@ -213,6 +213,20 @@ def test_subcommands_discover_only_the_maps_they_read(tmp_path, capsys):
         assert out == "" and err.startswith(failure), args
 
 
+def test_document_errors_come_before_discovery_errors(tmp_path, capsys):
+    # map 1 has no discoverable fixed point, and the variety is malformed:
+    # the whole document is read before any fixed point is discovered
+    doc = copy.deepcopy(DIAG)
+    del doc["fixed_points"]
+    doc["polynomials"][0] = ["0", "3", "1/3"]
+    doc["variety"] = []
+    path = write(tmp_path, "both.json", doc)
+    assert main(["check", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: variety must be a nonempty list of generators\n"
+
+
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     def broken(spec):
         raise RuntimeError("boom")

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn import (
     PadicContext,
@@ -18,9 +20,15 @@ from padicdyn import (
     verify_functional_equation,
 )
 from padicdyn import _core
-from padicdyn.linearize import _integrality_defect, _koenigs_divisor, inverse_koenigs_coefficients
+from padicdyn.dynamics import contraction_radius
+from padicdyn.linearize import (
+    _integrality_defect,
+    _koenigs_divisor,
+    inverse_koenigs_coefficients,
+    isometry_radius,
+)
 from padicdyn.padic import INF_BOUND
-from padicdyn.series import TailBound
+from padicdyn.series import ZERO_TAIL, TailBound
 
 
 @pytest.fixture(scope="module")
@@ -439,3 +447,67 @@ def test_recursions_match_reference_at_order_1_and_non_integral_a2(c3):
         assert_series_is(inverse_koenigs_coefficients(G, t), reference_inverse_koenigs(G, t))
     e = koenigs_coefficients(G, 1)
     assert (e._v, e._u, e._k) == ([INF_BOUND, 0], [0, 1], [0, 64])
+
+
+# -- isometry radius -----------------------------------------------------------
+
+
+def reference_isometry_radius(exp_series, G):
+    """``isometry_radius`` with its own loop over E's coefficients, kept as
+    the oracle for the body that reads them through ``contraction_radius``."""
+    m0 = 1
+    for n in range(2, exp_series.order + 1):
+        c = exp_series.coefficient(n)
+        if c.is_exact_zero:
+            continue
+        lb = c.valuation_lower_bound
+        need = -lb // (n - 1) + 1
+        if need > m0:
+            m0 = need
+    tail = exp_series.tail
+    if not tail.is_infinite:
+        t = exp_series.order
+        need = (-tail.slope * (t + 1) - tail.offset) // t + 1
+        if need > m0:
+            m0 = need
+        if m0 + tail.slope <= 0:
+            m0 = -tail.slope // 1 + 1
+    return max(m0, contraction_radius(G.coefficients, G.coefficients[1].valuation))
+
+
+@st.composite
+def exp_series_and_conjugate(draw):
+    """A series with c_1 = 1 whose other coefficients are exact zeros, zeros
+    to O(p^b) or values of either sign of valuation, with a zero tail or an
+    affine one, and a conjugate map fixing 0 with multiplier p^v * unit."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ctx = PadicContext(p, 32)
+    t = draw(st.integers(1, 12))
+    coeffs = [ctx.zero(), ctx.one()]
+    for _ in range(2, t + 1):
+        kind = draw(st.sampled_from(["exact", "inexact", "value"]))
+        if kind == "exact":
+            coeffs.append(ctx.zero())
+        elif kind == "inexact":
+            coeffs.append(ctx.zero(draw(st.integers(-40, 40))))
+        else:
+            v = draw(st.integers(-40, 40))
+            unit = draw(st.integers(1, p**4).filter(lambda u: u % p))
+            coeffs.append(ctx.from_rational(unit * p**max(v, 0), p**max(-v, 0)))
+    if draw(st.booleans()):
+        tail = ZERO_TAIL
+    else:
+        tail = TailBound(draw(st.integers(-12, 0)), draw(st.integers(-20, 60)))
+    e = TruncatedSeries.from_coefficients(ctx, coeffs, order=t, tail=tail)
+    b = [0, p ** draw(st.integers(1, 3))]
+    b += [ctx.from_rational(draw(st.integers(-9, 9)), p ** draw(st.integers(0, 3)))
+          for _ in range(draw(st.integers(0, 3)))]
+    b.append(ctx.from_rational(1, p ** draw(st.integers(0, 3))))
+    return e, Polynomial(ctx, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exp_series_and_conjugate())
+def test_isometry_radius_matches_reference_loop(case):
+    e, G = case
+    assert isometry_radius(e, G) == reference_isometry_radius(e, G)
