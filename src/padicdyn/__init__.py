@@ -14,6 +14,7 @@ from .multipoly import MultivariatePoly
 from .dynamics import (
     ATTRACTING,
     INDIFFERENT,
+    REPELLING,
     SUPERATTRACTING,
     FixedPointInfo,
     FixedPointScan,
@@ -60,6 +61,7 @@ __all__ = [
     "PadicNumber",
     "Polynomial",
     "PrecisionError",
+    "REPELLING",
     "SUPERATTRACTING",
     "SystemSpec",
     "TailBound",

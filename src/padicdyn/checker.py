@@ -25,7 +25,7 @@ import math
 
 from . import _core
 from .errors import PrecisionError, ValidationError
-from .padic import INF_BOUND, PadicContext, PadicNumber
+from .padic import INF_BOUND, VALUATION_BOUND, PadicContext, PadicNumber
 from .dynamics import contraction_radius
 from .linearize import linearize
 from .series import TruncatedSeries
@@ -161,11 +161,16 @@ class AnalysisReport(_Record):
 
 
 def _check_digits(x: PadicNumber, where: str):
-    """Refuse a nonzero value that carries more than N digits, or whose unit u
-    is not one of 1 <= u < p^k with p not dividing u: the arithmetic assumes
-    both of every value it is given."""
+    """Refuse a nonzero value that carries more than N digits, whose unit u is
+    not one of 1 <= u < p^k with p not dividing u, or whose valuation exceeds
+    VALUATION_BOUND in absolute value: the arithmetic assumes all three of
+    every value it is given."""
     if not x._u:
         return
+    if abs(x._v) > VALUATION_BOUND:
+        raise ValidationError(
+            f"{where} has valuation {x._v}, beyond the bound |v| <= {VALUATION_BOUND}"
+        )
     p, n = x.ctx.prime, x.ctx.working_precision
     if x._k > n:
         raise ValidationError(

@@ -17,12 +17,17 @@ from .padic import PadicContext, PadicNumber
 ATTRACTING = "attracting"
 SUPERATTRACTING = "superattracting"
 INDIFFERENT = "indifferent"
+REPELLING = "repelling"
 
 # find_fixed_points accepts a lifted point once v(p^s (P(x) - x)) >= N - _FIXED_POINT_SLACK
 _FIXED_POINT_SLACK = 8
 
 # find_fixed_points tests every residue mod p, so it refuses larger primes
 DISCOVERY_PRIME_BOUND = 1 << 20
+
+# each residue costs deg P + 1 small-integer steps, so it also refuses a scan of
+# more steps than this; X^3 + pX passes at every p <= DISCOVERY_PRIME_BOUND
+DISCOVERY_WORK_BOUND = 1 << 22
 
 
 class Polynomial:
@@ -113,9 +118,13 @@ class FixedPointScan(namedtuple("FixedPointScan", "points unresolved_residues"))
 
 
 def _classify(multiplier: PadicNumber) -> str:
+    """The fixed point's class: multiplier zero to precision, v >= 1, v = 0 or v < 0."""
     if multiplier.is_zero_to_precision:
         return SUPERATTRACTING
-    return ATTRACTING if multiplier.valuation >= 1 else INDIFFERENT
+    v = multiplier.valuation
+    if v >= 1:
+        return ATTRACTING
+    return INDIFFERENT if v == 0 else REPELLING
 
 
 def find_fixed_points(P: Polynomial) -> FixedPointScan:
@@ -126,7 +135,8 @@ def find_fixed_points(P: Polynomial) -> FixedPointScan:
     mod p in small-integer arithmetic, then Newton-lifts each from a to
     working precision.  Returned points satisfy
     v(p^s (P(alpha) - alpha)) >= N - _FIXED_POINT_SLACK.  Raises
-    ValidationError for p > DISCOVERY_PRIME_BOUND, and for a coefficient of Q
+    ValidationError for p > DISCOVERY_PRIME_BOUND or
+    p (deg P + 1) > DISCOVERY_WORK_BOUND, and for a coefficient of Q
     that is zero only to a precision too low to read Q~ mod p.
     """
     ctx = P.ctx
@@ -136,6 +146,11 @@ def find_fixed_points(P: Polynomial) -> FixedPointScan:
         raise ValidationError(
             f"fixed-point discovery scans every residue mod p, so it needs"
             f" p <= {DISCOVERY_PRIME_BOUND}; p = {p}"
+        )
+    if p * (P.degree + 1) > DISCOVERY_WORK_BOUND:
+        raise ValidationError(
+            f"fixed-point discovery takes deg P + 1 steps for each residue mod p, so it"
+            f" needs p (deg P + 1) <= {DISCOVERY_WORK_BOUND}; p = {p} and deg P = {P.degree}"
         )
     # Q = P - X
     q_coeffs = list(P.coefficients)
@@ -161,7 +176,8 @@ def find_fixed_points(P: Polynomial) -> FixedPointScan:
         # P - X collapsed to a constant: no fixed points at all
         return FixedPointScan([], [])
     Qprime = Q.derivative()
-    # Q~ and Q~' mod p for Horner, highest degree first
+    # Q~ and Q~' mod p for Horner, highest degree first, reduced at every
+    # step so that a step costs the same at every degree
     top = residues[::-1]
     dtop = [j * c % p for j, c in enumerate(residues)][:0:-1]
     points = []
@@ -169,13 +185,13 @@ def find_fixed_points(P: Polynomial) -> FixedPointScan:
     for a in range(p):
         acc = 0
         for c in top:
-            acc = acc * a + c
-        if acc % p:
+            acc = (acc * a + c) % p
+        if acc:
             continue
         acc = 0
         for c in dtop:
-            acc = acc * a + c
-        if not acc % p:
+            acc = (acc * a + c) % p
+        if not acc:
             unresolved.append(a)
             continue
         x = ctx.integer(a)

@@ -27,7 +27,9 @@ from . import _core
 from .errors import ValidationError
 from .padic import Ball, INF_BOUND, PadicNumber
 from .series import TailBound, TruncatedSeries
-from .dynamics import ATTRACTING, INDIFFERENT, SUPERATTRACTING, Polynomial, _classify, contraction_radius
+from .dynamics import (
+    ATTRACTING, INDIFFERENT, REPELLING, SUPERATTRACTING, Polynomial, _classify, contraction_radius,
+)
 
 _HEADROOM = 8
 
@@ -61,6 +63,10 @@ _MULTIPLIER_REFUSALS = {
     INDIFFERENT: (
         "multiplier is a unit (indifferent fixed point): the attracting"
         " hypothesis 0 < |P'(alpha)| < 1 fails"
+    ),
+    REPELLING: (
+        "multiplier has negative valuation (repelling fixed point): the"
+        " attracting hypothesis 0 < |P'(alpha)| < 1 fails"
     ),
 }
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from . import _core
-from .padic import INF_BOUND, PadicContext, PadicNumber, triple_pow
+from .errors import PrecisionError
+from .padic import INF_BOUND, VALUATION_BOUND, PadicContext, PadicNumber, triple_pow
 from .series import TruncatedSeries
 
 
@@ -84,7 +85,10 @@ class MultivariatePoly:
         -1, when the power is a unit with at most k digits or a zero bounded at
         most at INF_BOUND, the negation of a zero, and the first addition to
         the empty sum (an exact zero) when the term's absolute precision is at
-        most INF_BOUND.
+        most INF_BOUND.  A term that is a unit of valuation INF_BOUND or more,
+        at a point whose valuations are within VALUATION_BOUND (the values
+        ``validate`` admits), raises PrecisionError: any sum would read it as
+        an exact zero.
         """
         p = self.ctx.prime
         av, au, ak = INF_BOUND, 0, 0
@@ -97,6 +101,13 @@ class MultivariatePoly:
                     tv, tu, tk = xv, xu, xk
                 else:
                     tv, tu, tk = _core.tr_mul(p, tv, tu, tk, xv, xu, xk)
+            if tv >= INF_BOUND and tu and all(
+                abs(xs[i][0]) <= VALUATION_BOUND for i, _ in powers
+            ):
+                raise PrecisionError(
+                    f"a generator term has valuation {tv}, not below INF_BOUND = {INF_BOUND}:"
+                    " it cannot be told from an exact zero"
+                )
             if negated and tu:
                 tv, tu, tk = _core.tr_neg(p, tv, tu, tk)
             if au or av < INF_BOUND or tv + tk > INF_BOUND:

@@ -16,6 +16,11 @@ from .errors import PrecisionError
 
 INF_BOUND = _core.INF_BOUND
 
+# checker.validate refuses a nonzero value with |v| above this: far above the
+# about 14,300 that a problem-file rational can carry (int() reads at most
+# 4,300 digits), and far below INF_BOUND, the valuation of an exact zero
+VALUATION_BOUND = 1 << 30
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # psi_13, the least strong pseudoprime to all of _SMALL_PRIMES (Sorenson and

@@ -10,6 +10,7 @@ from padicdyn import (
     PadicContext,
     PadicNumber,
     Polynomial,
+    PrecisionError,
     SystemSpec,
     TruncatedSeries,
     ValidationError,
@@ -21,6 +22,7 @@ from padicdyn import (
     validate,
 )
 from padicdyn import checker
+from padicdyn.padic import INF_BOUND
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +100,16 @@ class TestValidate:
      "fixed_points[2] carries 33 digits"),
     ("maps", lambda c: {"maps": [Polynomial(c, [0, 3, PadicNumber(c, 0, 1, 64)])] * 2},
      "maps[1] coefficient of X^2 carries 64 digits"),
+    # absolute precision 20 digits short of INF_BOUND, the exact-zero valuation
+    ("start", lambda c: {"start": [c.integer(3), PadicNumber(c, INF_BOUND - 20, 1, 32)]},
+     f"start[2] has valuation {INF_BOUND - 20}, beyond the bound"
+     f" |v| <= {checker.VALUATION_BOUND}"),
+    ("maps", lambda c: {"maps": [
+        Polynomial(c, [0, 3, PadicNumber(c, -checker.VALUATION_BOUND - 1, 1, 8)])] * 2},
+     f"maps[1] coefficient of X^2 has valuation {-checker.VALUATION_BOUND - 1}"),
 ], ids=["truncation-0", "truncation-negative", "iterations-negative", "start-long",
-        "start-unit-divisible", "start-unit-too-large", "fixed-point-long", "map-long"])
+        "start-unit-divisible", "start-unit-too-large", "fixed-point-long", "map-long",
+        "start-valuation-near-inf-bound", "map-valuation-below-bound"])
 def test_validate_names_the_field_out_of_range(field, make, message):
     """validate names the field of a truncation, iteration cap or value out of
     range.  Unchecked, truncation 0 and -1 end in a bare ZeroDivisionError or
@@ -365,6 +375,20 @@ class TestAnalyze:
         assert r.verdict in ("finite", "inconclusive")
         hits = direct_orbit_scan(validate(spec), 30)
         assert r.direct_hits == hits
+
+    def test_generator_power_past_inf_bound_is_not_a_hit(self):
+        # X1^78,536,549 at v(x1) = 14,000 has valuation just above INF_BOUND = 2^40:
+        # read as an exact zero, it made every index a direct hit
+        c = PadicContext(2, 40)
+        P = Polynomial(c, [0, 2, 1])
+        f = MultivariatePoly(c, 2, {(78_536_549, 0): 1})
+        spec = SystemSpec(c, [P, P], [c.zero(), c.zero()], [c.integer(2**14000), c.integer(4)],
+                          [f], 8, 5)
+        with pytest.raises(PrecisionError, match="not below INF_BOUND"):
+            f.evaluate(spec.start)
+        report = analyze(spec)
+        assert report.verdict == "inconclusive" and report.direct_hits == []
+        assert report.detail.startswith("a generator term has valuation 1099511686000")
 
     def test_determinism(self, ctx, P):
         from padicdyn import render_report

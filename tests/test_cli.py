@@ -178,6 +178,28 @@ def test_discovery_above_the_prime_bound_exits_3_quickly(tmp_path):
     assert "fixed_points" in out.stderr
 
 
+def test_discovery_above_the_work_bound_exits_3_quickly(tmp_path):
+    # X^512 + ... + X^2 + pX at the largest prime under the prime bound: the
+    # residue scan would take p * 513 steps, minutes of work
+    p = 1_048_573
+    doc = copy.deepcopy(DIAG)
+    del doc["fixed_points"]
+    doc["prime"] = p
+    doc["polynomials"] = [["0", str(p)] + ["1"] * 511, ["0", str(p), "1"]]
+    doc["start"] = [str(p), str(p * p)]
+    path = write(tmp_path, "long.json", doc)
+    code = (
+        "import sys, time; sys.path.insert(0, sys.argv[1]); import padicdyn.cli;"
+        " t = time.perf_counter(); c = padicdyn.cli.main(['check', sys.argv[2]]);"
+        " print(time.perf_counter() - t); sys.exit(c)"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src"), path],
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 3 and float(out.stdout) < 1
+    assert out.stderr.startswith("error: polynomial 1: fixed-point discovery")
+    assert "p (deg P + 1) <= " in out.stderr and "fixed_points" in out.stderr
+
+
 def test_discovery_names_the_unresolved_classes(tmp_path, capsys):
     doc = copy.deepcopy(DIAG)
     del doc["fixed_points"]
@@ -252,6 +274,22 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "attracting" in out
         assert "indifferent" in out  # 1 - p
+
+    def test_repelling_fixed_points(self, tmp_path, capsys):
+        # X^2/3 + X/3 at p = 3: fixed points 0 and 2, multipliers 1/3 and 5/3
+        doc = copy.deepcopy(DIAG)
+        doc["polynomials"] = [["0", "1/3", "1/3"], ["0", "1/3", "1/3"]]
+        path = write(tmp_path, "repelling.json", doc)
+        assert main(["fixed-points", path, "--map-index", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["repelling", "repelling"]
+        assert main(["check", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: coordinate 1: multiplier has negative valuation (repelling fixed"
+            " point): the attracting hypothesis 0 < |P'(alpha)| < 1 fails\n"
+        )
 
     def test_fixed_points_of_a_non_integral_map(self, tmp_path, capsys):
         # X^2/3 + 3X at p = 3: Q(1) = 7/3 and Q(2) = 16/3 are not 0 mod 3

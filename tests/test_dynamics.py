@@ -7,6 +7,7 @@ import pytest
 from padicdyn import (
     ATTRACTING,
     INDIFFERENT,
+    REPELLING,
     SUPERATTRACTING,
     PadicContext,
     Polynomial,
@@ -117,6 +118,15 @@ class TestFixedPoints:
         scan = find_fixed_points(P)
         classes = sorted(fp.classification for fp in scan.points)
         assert classes == [INDIFFERENT, SUPERATTRACTING]
+
+    def test_negative_valuation_multipliers_are_repelling(self, c3):
+        # X^2/3 + X/3 fixes 0 and 2, with multipliers 1/3 and 5/3
+        P = Polynomial(c3, [0, c3.from_rational(1, 3), c3.from_rational(1, 3)])
+        scan = find_fixed_points(P)
+        assert scan.unresolved_residues == []
+        assert [fp.classification for fp in scan.points] == [REPELLING, REPELLING]
+        assert [fp.multiplier.valuation for fp in scan.points] == [-1, -1]
+        assert [fp.attracting_radius_valuation for fp in scan.points] == [None, None]
 
     def test_hensel_residual_precision(self, c3):
         rng = random.Random(13)
