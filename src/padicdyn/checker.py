@@ -22,6 +22,7 @@ independent of the F-side analysis so it can serve as an oracle for it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from . import _core
 from .errors import PrecisionError, ValidationError
@@ -53,27 +54,7 @@ _CANDIDATE_NOTE = (
 )
 
 
-class _Record:
-    """Field-wise ``repr`` and ``==`` over ``__slots__``, for the plain
-    mutable records below (unhashable, like any mutable value)."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-
-class SystemSpec(_Record):
+class SystemSpec:
     """A dynamical intersection problem instance."""
 
     __slots__ = ("ctx", "maps", "fixed_points", "start", "variety", "truncation",
@@ -91,7 +72,7 @@ class SystemSpec(_Record):
         self.max_direct_iterations = max_direct_iterations
 
 
-class ValidatedSystem(_Record):
+class ValidatedSystem:
     """A SystemSpec with constructed linearizations and the orbit advanced
     until every coordinate sits inside its certified isometry ball."""
 
@@ -107,21 +88,22 @@ class ValidatedSystem(_Record):
         self.degenerate = degenerate
 
 
-class GeneratorReport(_Record):
-    __slots__ = ("index", "kind", "zero_count", "count_certified", "newton_polygon", "detail")
+class GeneratorReport(namedtuple(
+    "GeneratorReport",
+    "index kind zero_count count_certified newton_polygon detail",
+    defaults=(None, None, None, None),
+)):
+    """One generator's outcome; ``kind`` is "finite" or "zero_to_precision"."""
 
-    def __init__(self, index: int, kind: str, zero_count: int | None = None,
-                 count_certified: bool | None = None, newton_polygon: list | None = None,
-                 detail: str | None = None):
-        self.index = index
-        self.kind = kind  # "finite" | "zero_to_precision"
-        self.zero_count = zero_count
-        self.count_certified = count_certified
-        self.newton_polygon = newton_polygon
-        self.detail = detail
+    __slots__ = ()
 
 
-class AnalysisReport(_Record):
+class AnalysisReport(namedtuple(
+    "AnalysisReport",
+    "verdict bound bound_certified complete direct_hits n0 reindexing lambdas multiplier"
+    " isometry_radii count_ball_valuation degenerate generators notes detail",
+    defaults=(None, None),
+)):
     """Certified outcome.
 
     ``bound`` (when the verdict is ``finite`` and ``bound_certified``) is an
@@ -129,35 +111,14 @@ class AnalysisReport(_Record):
     the variety.  For non-degenerate systems strict contraction makes orbit
     points pairwise distinct, so it equally bounds the hit indices; for the
     degenerate one-point orbit every index may be a hit while the point count
-    is at most 1.
+    is at most 1.  ``notes`` left at None becomes a fresh empty list.
     """
 
-    __slots__ = (
-        "verdict", "bound", "bound_certified", "complete", "direct_hits", "n0", "reindexing",
-        "lambdas", "multiplier", "isometry_radii", "count_ball_valuation", "degenerate",
-        "generators", "notes", "detail",
-    )
+    __slots__ = ()
 
-    def __init__(self, verdict: str, bound: int | None, bound_certified: bool,
-                 complete: bool | None, direct_hits: list, n0: int, reindexing: list,
-                 lambdas: list, multiplier: PadicNumber, isometry_radii: list,
-                 count_ball_valuation: int | None, degenerate: bool, generators: list,
-                 notes: list | None = None, detail: str | None = None):
-        self.verdict = verdict
-        self.bound = bound
-        self.bound_certified = bound_certified
-        self.complete = complete
-        self.direct_hits = direct_hits
-        self.n0 = n0
-        self.reindexing = reindexing
-        self.lambdas = lambdas
-        self.multiplier = multiplier
-        self.isometry_radii = isometry_radii
-        self.count_ball_valuation = count_ball_valuation
-        self.degenerate = degenerate
-        self.generators = generators
-        self.notes = [] if notes is None else notes
-        self.detail = detail
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        return report if report.notes is not None else report._replace(notes=[])
 
 
 def _check_digits(x: PadicNumber, where: str):
@@ -209,9 +170,11 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
     for name in ("fixed_points", "start"):
         for i, x in enumerate(getattr(spec, name), start=1):
             _check_digits(x, f"{name}[{i}]")
-    for f in spec.variety:
+    for j, f in enumerate(spec.variety, start=1):
         if f.nvars != g:
             raise ValidationError(f"variety generator has {f.nvars} variables, expected {g}")
+        for expo, c in f.terms.items():
+            _check_digits(c, f"variety[{j}] coefficient of exponents {expo}")
     if not spec.variety:
         raise ValidationError("variety must have at least one generator")
     lins = []

@@ -7,8 +7,10 @@
 
 Exit codes for ``check``: 0 finite intersection, 1 invariant-subvariety
 candidate, 2 inconclusive, 3 input or validation error.  The other subcommands
-use 0/3.  Every subcommand exits 4 on an internal error (a bug, never a
-verdict), after printing ``error: internal: <type>: <message>``.
+use 0/3.  A usage error (a missing argument, a flag the subcommand does not
+take, a value that is not an integer) exits 3 after argparse's message;
+``--help`` exits 0.  Every subcommand exits 4 on an internal error (a bug,
+never a verdict), after printing ``error: internal: <type>: <message>``.
 """
 
 from __future__ import annotations
@@ -149,10 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, max_iter=False):
+    def common(p, truncation=True, max_iter=False):
         p.add_argument("file", help="problem file (JSON)")
         p.add_argument("--precision", type=int, default=None, help="override working precision")
-        p.add_argument("--truncation", type=int, default=None, help="override truncation order")
+        if truncation:
+            p.add_argument("--truncation", type=int, default=None, help="override truncation order")
         if max_iter:
             p.add_argument("--max-iter", type=int, default=None, dest="max_iter",
                            help="override the direct-scan iteration cap")
@@ -168,12 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_lin.set_defaults(func=_cmd_linearize)
 
     p_fp = sub.add_parser("fixed-points", help="scan Z_p fixed points of one map")
-    common(p_fp)
+    common(p_fp, truncation=False)
     p_fp.add_argument("--map-index", type=int, required=True, help="1-based coordinate index")
     p_fp.set_defaults(func=_cmd_fixed_points)
 
     p_orb = sub.add_parser("orbit", help="print orbit points with distance valuations")
-    common(p_orb)
+    common(p_orb, truncation=False)
     p_orb.add_argument("--steps", type=int, required=True, help="number of iterations")
     p_orb.add_argument("--map-index", type=int, default=None, help="restrict to one coordinate")
     p_orb.set_defaults(func=_cmd_orbit)
@@ -184,7 +187,11 @@ _PARSER = build_parser()  # built once per process; each parse_args call leaves 
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the inconclusive verdict's code
+        return _ERROR_EXIT if exc.code else 0
     try:
         return args.func(args)
     except (ValidationError, PrecisionError, OSError) as exc:

@@ -29,6 +29,13 @@ DISCOVERY_PRIME_BOUND = 1 << 20
 # more steps than this; X^3 + pX passes at every p <= DISCOVERY_PRIME_BOUND
 DISCOVERY_WORK_BOUND = 1 << 22
 
+# each simple root mod p costs a Newton lift and a Taylor shift: about
+# (deg P + 1)^2 operations on numbers of b = N p.bit_length() bits, each costing
+# about max(1, b / 640)^2 small ones (CPython reduces by schoolbook division), so
+# discovery also refuses a lifting stage of more small operations than this; just
+# under it, X^101 at p = 101 and N = 128 lifts in 3.5-4.4 s on a 2-vCPU host
+DISCOVERY_LIFT_BOUND = 1 << 21
+
 
 class Polynomial:
     """Exact univariate polynomial over Q_p, degree >= 1.
@@ -136,7 +143,10 @@ def find_fixed_points(P: Polynomial) -> FixedPointScan:
     working precision.  Returned points satisfy
     v(p^s (P(alpha) - alpha)) >= N - _FIXED_POINT_SLACK.  Raises
     ValidationError for p > DISCOVERY_PRIME_BOUND or
-    p (deg P + 1) > DISCOVERY_WORK_BOUND, and for a coefficient of Q
+    p (deg P + 1) > DISCOVERY_WORK_BOUND, before any lift when
+    (deg P + 1)^2 (z + r max(1, b / 640)^2) > DISCOVERY_LIFT_BOUND, for
+    b = N p.bit_length(), z = 1 when 0 is a simple root and Q(0) an exact zero
+    (else 0), and r the other simple roots mod p; and for a coefficient of Q
     that is zero only to a precision too low to read Q~ mod p.
     """
     ctx = P.ctx
@@ -180,7 +190,7 @@ def find_fixed_points(P: Polynomial) -> FixedPointScan:
     # step so that a step costs the same at every degree
     top = residues[::-1]
     dtop = [j * c % p for j, c in enumerate(residues)][:0:-1]
-    points = []
+    simple = []
     unresolved = []
     for a in range(p):
         acc = 0
@@ -191,9 +201,23 @@ def find_fixed_points(P: Polynomial) -> FixedPointScan:
         acc = 0
         for c in dtop:
             acc = (acc * a + c) % p
-        if not acc:
-            unresolved.append(a)
-            continue
+        (simple if acc else unresolved).append(a)
+    # when Q(0) is an exact zero, the root 0 lifts to the exact zero in no
+    # step and its Taylor shift multiplies only by zero: all small operations
+    z = 1 if simple[:1] == [0] and q_coeffs[0].is_exact_zero else 0
+    r = len(simple) - z
+    bits = n_prec * p.bit_length()
+    if (P.degree + 1) ** 2 * (z + r * max(1, bits / 640) ** 2) > DISCOVERY_LIFT_BOUND:
+        raise ValidationError(
+            f"fixed-point discovery lifts each simple root mod p with about (deg P + 1)^2"
+            f" operations on {bits}-bit numbers, so it needs (deg P + 1)^2"
+            f" (z + r max(1, bits / 640)^2) <= {DISCOVERY_LIFT_BOUND}, where z = 1 for an"
+            f" exact root 0 and r counts the other simple roots; r = {r}, z = {z},"
+            f" deg P = {P.degree} and N = {n_prec}"
+        )
+    dP = P.derivative()
+    points = []
+    for a in simple:
         x = ctx.integer(a)
         for _ in range(n_prec.bit_length() + 3):
             fx = Q(x)
@@ -204,13 +228,13 @@ def find_fixed_points(P: Polynomial) -> FixedPointScan:
         if not (fx.is_zero_to_precision and fx.zero_bound >= n_prec - _FIXED_POINT_SLACK):
             unresolved.append(a)
             continue
-        mult = P.derivative()(x)
+        mult = dP(x)
         cls = _classify(mult)
         radius = None
         if cls == ATTRACTING:
             radius = contraction_radius(P.shift_argument(x), mult.valuation)
         points.append(FixedPointInfo(x, mult, cls, radius))
-    return FixedPointScan(points, unresolved)
+    return FixedPointScan(points, sorted(unresolved))
 
 
 def contraction_radius(g, v1: int) -> int:

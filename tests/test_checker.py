@@ -128,6 +128,28 @@ def test_validate_names_the_field_out_of_range(field, make, message):
         analyze(spec)
 
 
+@pytest.mark.parametrize("coefficient, message", [
+    (lambda c: PadicNumber(c, 0, 1, 40),
+     "variety[2] coefficient of exponents (1, 0) carries 40 digits, more than the"
+     " working precision 32"),
+    (lambda c: PadicNumber(c, 0, 3, 8),
+     "variety[2] coefficient of exponents (1, 0) has a unit outside 1 <= u < p^8"),
+    (lambda c: PadicNumber(c, checker.VALUATION_BOUND + 1, 1, 8),
+     f"variety[2] coefficient of exponents (1, 0) has valuation {checker.VALUATION_BOUND + 1}"),
+], ids=["long", "unit-divisible", "valuation"])
+def test_validate_names_the_generator_coefficient_out_of_range(coefficient, message):
+    """A generator coefficient is checked like every other value: unchecked,
+    one of 40 digits at N = 32 ends in the verdict ``finite`` with bound 1."""
+    c = PadicContext(3, 32)
+    P = Polynomial(c, [0, 3, 1])
+    variety = [diag_generator(c), MultivariatePoly(c, 2, {(1, 0): coefficient(c), (0, 1): -1})]
+    spec = SystemSpec(c, [P, P], [c.zero(), c.zero()], [c.integer(3), c.integer(9)], variety, 8, 40)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate(spec)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        analyze(spec)
+
+
 class TestSharedLinearizations:
     def test_equal_maps_share_one_linearization(self, ctx):
         P1 = Polynomial(ctx, [0, 3, 1])

@@ -200,6 +200,30 @@ def test_discovery_above_the_work_bound_exits_3_quickly(tmp_path):
     assert "p (deg P + 1) <= " in out.stderr and "fixed_points" in out.stderr
 
 
+@pytest.mark.parametrize("p, n", [(211, 128), (37, 2048)])
+def test_discovery_above_the_lift_bound_exits_3_quickly(tmp_path, p, n):
+    # X^p fixes every residue mod p, each a simple root: lifting all p of them
+    # took 40 s at p = 211 and 19 s at p = 37, N = 2048
+    doc = copy.deepcopy(DIAG)
+    del doc["fixed_points"]
+    doc["prime"] = p
+    doc["precision"] = n
+    doc["polynomials"] = [["0"] * p + ["1"], ["0", str(p), "1"]]
+    doc["start"] = [str(p), str(p * p)]
+    path = write(tmp_path, "roots.json", doc)
+    code = (
+        "import sys, time; sys.path.insert(0, sys.argv[1]); import padicdyn.cli;"
+        " t = time.perf_counter(); c = padicdyn.cli.main(['check', sys.argv[2]]);"
+        " print(time.perf_counter() - t); sys.exit(c)"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src"), path],
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 3 and float(out.stdout) < 2
+    assert out.stderr.startswith("error: polynomial 1: fixed-point discovery lifts")
+    assert f"r = {p - 1}, z = 1, deg P = {p} and N = {n}" in out.stderr
+    assert "fixed_points" in out.stderr
+
+
 def test_discovery_names_the_unresolved_classes(tmp_path, capsys):
     doc = copy.deepcopy(DIAG)
     del doc["fixed_points"]
@@ -247,6 +271,30 @@ def test_document_errors_come_before_discovery_errors(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {path}: variety must be a nonempty list of generators\n"
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["check"],
+    ["check", "{path}", "--precision", "x"],
+    ["check", "{path}", "--unknown"],
+    ["linearize", "{path}"],
+    ["fixed-points", "{path}", "--map-index", "1", "--truncation", "8"],
+    ["orbit", "{path}", "--steps", "2", "--truncation", "8"],
+], ids=["no-command", "check-no-file", "precision-not-int", "unknown-flag",
+        "linearize-no-map-index", "fixed-points-truncation", "orbit-truncation"])
+def test_usage_errors_exit_3(tmp_path, capsys, args):
+    # argparse's own exit code, 2, is the inconclusive verdict's
+    path = write(tmp_path, "diag.json", DIAG)
+    assert main([a.format(path=path) for a in args]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "usage: padicdyn" in err and "error: " in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["check", "--help"], ["orbit", "-h"]])
+def test_help_exits_0(capsys, args):
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("usage: padicdyn")
 
 
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):

@@ -169,6 +169,42 @@ class TestFixedPoints:
         with pytest.raises(ValidationError, match=f"p <= {dynamics.DISCOVERY_PRIME_BOUND}"):
             find_fixed_points(Polynomial(ctx, [0, ctx.prime, 1]))
 
+    def test_derivative_is_built_once(self, monkeypatch):
+        # X^37 at p = 37 has 37 simple roots mod 37: one Q' for the lifts and
+        # one P' for the multipliers, not one P' per root
+        built = []
+        derivative = Polynomial.derivative
+        monkeypatch.setattr(Polynomial, "derivative",
+                            lambda self: built.append(self.degree) or derivative(self))
+        scan = find_fixed_points(Polynomial(PadicContext(37, 32), [0] * 37 + [1]))
+        assert len(scan.points) == 37 and built == [37, 37]
+
+    def test_lifting_stage_above_the_lift_bound_is_refused_before_any_lift(self, monkeypatch):
+        # X^173 fixes every residue mod 173, each a simple root: at N = 8 the
+        # numbers are small, but 173 lifts and Taylor shifts of degree 173 took 5.9 s
+        monkeypatch.setattr(Polynomial, "__call__", None)
+        ctx = PadicContext(173, 8)
+        with pytest.raises(ValidationError, match=f"<= {dynamics.DISCOVERY_LIFT_BOUND}, where z"
+                           " = 1 for an exact root 0 and r counts the other simple roots;"
+                           " r = 172, z = 1, deg P = 173 and N = 8"):
+            find_fixed_points(Polynomial(ctx, [0] * 173 + [1]))
+
+    @pytest.mark.parametrize("n", [32, 2048])
+    def test_quadratic_at_the_largest_admitted_prime_is_lifted(self, n):
+        ctx = PadicContext(1_048_573, n)
+        scan = find_fixed_points(Polynomial(ctx, [0, ctx.prime, 1]))
+        assert sorted(fp.classification for fp in scan.points) == [ATTRACTING, INDIFFERENT]
+
+    @pytest.mark.parametrize("n", [128, 2048])
+    def test_long_map_under_both_work_bounds_is_lifted(self, n):
+        # X^512 + ... + X^2 + pX at p = 8,171: p (deg P + 1) is just under
+        # DISCOVERY_WORK_BOUND, and its one simple root mod p is the exact zero,
+        # whose lift costs small operations at every N
+        ctx = PadicContext(8171, n)
+        scan = find_fixed_points(Polynomial(ctx, [0, ctx.prime] + [1] * 511))
+        assert [(fp.point.is_exact_zero, fp.classification) for fp in scan.points] == [
+            (True, ATTRACTING)]
+
     def test_unreadable_residue_is_refused(self, c3):
         # Q = O(3^0) + 2X + X^2: its constant term has no digit mod 3
         with pytest.raises(ValidationError, match="coefficient of X\\^0"):

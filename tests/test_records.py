@@ -72,7 +72,11 @@ def test_context_rejects_bad_fields(ctx, args, message):
     (lambda ctx: ZeroCount(1, True), "count"),
     (lambda ctx: FixedPointInfo(ctx.zero(), ctx.integer(3), "attracting"), "point"),
     (lambda ctx: FixedPointScan([], []), "points"),
-], ids=["PadicContext", "Ball", "TailBound", "ZeroCount", "FixedPointInfo", "FixedPointScan"])
+    (lambda ctx: GeneratorReport(1, "finite"), "kind"),
+    (lambda ctx: AnalysisReport("finite", 0, True, True, [], 0, [0, 1], [], ctx.one(),
+                                [2, 2], None, False, []), "notes"),
+], ids=["PadicContext", "Ball", "TailBound", "ZeroCount", "FixedPointInfo", "FixedPointScan",
+        "GeneratorReport", "AnalysisReport"])
 def test_immutable_records_refuse_assignment(ctx, make, field):
     record = make(ctx)
     with pytest.raises(AttributeError):
