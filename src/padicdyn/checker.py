@@ -237,7 +237,8 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     vanish, so a step usually reads one or two coordinates.  A coordinate is
     advanced every step, with its collapse test, until it is *settled*: no
     collapse test can fire for it again.  From then on it is advanced, one
-    step at a time, only when a generator reads it.  Every value read is the
+    step at a time, only when a generator that reads it is evaluated, which
+    the valuation test below often avoids.  Every value read is the
     triple the every-step iteration computes, so the hits and the error are
     those of advancing every coordinate every step.  A coordinate is settled
 
@@ -261,13 +262,41 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     valuation v(b1) + v(z); its absolute precision is at most
     v(z) + k(z) + v(b1) <= INF_BOUND, so adding the exact zero P(0) leaves
     it.  The next value again satisfies every condition, with n + 1.
+
+    Before it catches up the coordinates a generator reads, the scan tries to
+    decide from valuations alone that the generator does not vanish at n.  The
+    test applies when every read coordinate is a unit of known valuation v_i
+    at n: an eager coordinate whose current triple is a unit, or one the lemma
+    settled, whose triple at index j = ``at[i]`` gives v_i = v(z_j) + (n - j)
+    v(b1).  A coordinate settled because it started indistinguishable from
+    alpha, and an eager one bounded as a zero, fall back to evaluation.
+    ``MultivariatePoly.dominant_valuation`` returns the least term valuation
+    v(c) + sum e_i v_i when exactly one term D attains it and every term lies
+    below INF_BOUND; the scan then moves to the next index.
+
+    Claim: ``eval_triples`` at z_n returns a unit of that valuation w, so
+    evaluating would have found the generator nonzero (and, with no term at
+    INF_BOUND, raised nothing).  Each term is a product of units, and
+    ``tr_mul`` and ``triple_pow`` multiply units into a unit whose valuation
+    is the sum, so each term is a unit of its stated valuation; negation
+    keeps it.  Induction over the term order: before D, the partial sum is
+    the empty sum (bound INF_BOUND > w) or a ``tr_add`` of terms above w, and
+    ``tr_add`` never returns a valuation or bound below the least of its
+    operands', so it stays above w.  Adding D (or taking D itself into the
+    empty sum) gives a unit of valuation w: the other operand is either a
+    bound m > w, which keeps m - w >= 1 of D's digits, or a unit of valuation
+    above w, whose shifted sum adds multiples of p to D's unit.  After D, each
+    ``tr_add`` of this unit with a unit of higher valuation is again a unit of
+    valuation w, by the same shifted sum.  The coordinates the test does not
+    advance are caught up later, from the same triples, when a generator is
+    evaluated, so every value read is unchanged.
     """
     spec = validated.spec
     if n_max is None:
         n_max = spec.max_direct_iterations
     p = spec.ctx.prime
     maps = [P.eval_triple for P in spec.maps]
-    variety = [(f.eval_triples, f.variables) for f in spec.variety]
+    variety = [(f.eval_triples, f.dominant_valuation, f.variables) for f in spec.variety]
     # z - alpha is z + (-alpha): negate each fixed point once, then the
     # collapse test is one tr_add per coordinate per step.  At alpha = 0 exactly
     # the sum is z itself whenever z's absolute precision is at most INF_BOUND,
@@ -284,6 +313,9 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     cur = [(x._v, x._u, x._k) for x in spec.start]
     # at[i]: the index of cur[i] once coordinate i is settled, None before
     at = [None] * len(cur)
+    # slopes[i]: v(b1) once the lemma settled coordinate i, else None
+    slopes = [None] * len(cur)
+    vals = [0] * len(cur)  # the read coordinates' valuations at n, for the valuation test
     eager = list(range(len(cur)))
     hits = []
     for n in range(n_max + 1):
@@ -308,11 +340,24 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
             elif settling[i]:
                 m, vb1 = settling[i]
                 if zv >= m and zv + zk + (n_max - n) * vb1 <= INF_BOUND:
-                    at[i] = n
+                    at[i], slopes[i] = n, vb1
                     settled = True
         if settled:
             eager = [i for i in eager if at[i] is None]
-        for f, reads in variety:
+        for f, dominant, reads in variety:
+            for i in reads:
+                j = at[i]
+                if j is None:
+                    if not cur[i][1]:
+                        break  # bounded as a zero: no valuation to read
+                    vals[i] = cur[i][0]
+                elif slopes[i] is None:
+                    break  # settled at alpha, not by the lemma
+                else:
+                    vals[i] = cur[i][0] + (n - j) * slopes[i]
+            else:
+                if dominant(vals) is not None:
+                    break  # f does not vanish at n
             for i in reads:
                 j = at[i]
                 if j is not None and j < n:

@@ -116,6 +116,30 @@ class MultivariatePoly:
                 av, au, ak = tv, tu, tk
         return av, au, ak
 
+    def dominant_valuation(self, vals):
+        """The valuation of the one term of strictly least valuation, or None.
+
+        ``vals[i]`` is the valuation of variable i, for every variable some
+        term reads, at a point where each of those variables is a unit.  A
+        term's valuation is then exactly v(c) + sum of e_i * vals[i].  The
+        result is None when there is no term, when two terms share the least
+        valuation, or when some term's valuation is INF_BOUND or more.
+        Otherwise ``eval_triples`` at that point returns a unit of this
+        valuation (the proof is in ``checker.direct_orbit_scan``).
+        """
+        least = None
+        tied = False
+        for _, (tv, _, _), powers in self._monomials:
+            for i, e in powers:
+                tv += e * vals[i]
+            if tv >= INF_BOUND:
+                return None
+            if least is None or tv < least:
+                least, tied = tv, False
+            elif tv == least:
+                tied = True
+        return None if tied else least
+
     def evaluate_series(self, series_list, order: int) -> TruncatedSeries:
         """Substitute a truncated series for each variable.
 

@@ -7,11 +7,15 @@ below as references.  On every input the new code must return exactly their
 triples, and the scan the same hits or the same failing index and message.
 Every triple the new code returns must also be canonical (a unit below
 ``p**k``), which a kernel that skipped a reduction would break.  The scan
-advances a settled coordinate only when a generator reads it; the reference
-advances every coordinate every step.
+advances a settled coordinate only when a generator reads it, and decides a
+generator from the orbit valuations when one term has the least; the
+reference advances every coordinate and evaluates every generator every step.
 """
 
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +33,12 @@ from padicdyn import (
 )
 from padicdyn.checker import ValidatedSystem
 from padicdyn.padic import INF_BOUND
+from padicdyn.problemfile import load_problem
 
 from corpus import build_corpus
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "checkbench"))
+import workloads  # noqa: E402
 
 PRIMES = [2, 3, 5, 7]
 
@@ -379,6 +387,251 @@ def test_scan_advances_a_settled_coordinate_only_when_read(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "eval_triple", counted)
     assert direct_orbit_scan(validated, 40) == []
-    assert [runs[id(P)] for P in maps] == [40, 0, 1]
+    assert [runs[id(P)] for P in maps] == [1, 0, 1]
     monkeypatch.undo()
     assert reference_direct_orbit_scan(validated, 40) == []
+
+
+# -- the scan's valuation test -------------------------------------------------
+
+
+def unvalidated(ctx, maps, alphas, starts, variety):
+    """A system the scan reads as given: these need not pass validate."""
+    spec = SystemSpec(ctx, maps, alphas, starts, variety, 4, 80)
+    return ValidatedSystem(spec, [], None, 0, list(starts), False)
+
+
+def orbit_point(P, x, n):
+    for _ in range(n):
+        x = reference_call(P, x)
+    return x
+
+
+def unit_fixed_point_map(ctx, b1):
+    """(X - 1)^2 + b1 (X - 1) + 1, which fixes 1 with multiplier b1: its
+    coordinate stays eager, a unit of valuation 0, until it collapses."""
+    b1 = ctx.element(b1)
+    return Polynomial(ctx, [2 - b1, b1 - 2, 1])
+
+
+def valuation_cases():
+    """(name, system, n_max, expected outcome kind) for the valuation test."""
+    out = []
+    # X1 - X2 from 140 and 833 under X^2 + 7X (scan_long seed 0, slot 06): both
+    # reach valuation 3 at n = 1 and then keep equal valuations, so every step ties
+    ctx = PadicContext(7, 64)
+    P = Polynomial(ctx, [0, 7, 1])
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    out.append(("ties", unvalidated(ctx, [P, P], [ctx.zero()] * 2,
+                                    [ctx.integer(140), ctx.integer(833)], [f]), 50, False))
+    # X1 - z_5: the constant has the valuation X1 reaches at n = 5; X1 - 4 z_5
+    # ties there and is not a hit
+    ctx = PadicContext(3, 60)
+    P, Q = Polynomial(ctx, [0, 3, 1]), Polynomial(ctx, [0, 3, 2, 1])
+    z5 = orbit_point(P, ctx.integer(15), 5)
+    for name, c, hit in (("constant_hit", z5, True), ("constant_tie", z5 * 4, False)):
+        f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 0): -c})
+        out.append((name, unvalidated(ctx, [P, Q], [ctx.zero()] * 2,
+                                      [ctx.integer(15), ctx.integer(12)], [f]), 40, hit))
+    # X1^2 / 5 - 5 X2^3 + X1 X2 - c, c the first three terms at n = 4: exponents
+    # above 1, coefficients of negative and positive valuation, and X1^2 / 5 and
+    # X1 X2 tied at every step (v(X1) = v(X2) + 1)
+    ctx = PadicContext(5, 40)
+    P, Q = Polynomial(ctx, [0, 5, 1]), Polynomial(ctx, [0, 5, 1, 1])
+    x1, x2 = ctx.integer(50), ctx.integer(10)
+    fifth = ctx.from_rational(1, 5)
+    terms = {(2, 0): fifth, (0, 3): -5, (1, 1): 1}
+    z1, z2 = orbit_point(P, x1, 4), orbit_point(Q, x2, 4)
+    c = fifth * z1 * z1 - 5 * z2 * z2 * z2 + z1 * z2
+    f = MultivariatePoly(ctx, 2, {**terms, (0, 0): -c})
+    out.append(("exponents", unvalidated(ctx, [P, Q], [ctx.zero()] * 2, [x1, x2], [f]), 30, True))
+    # X1 X2 - c and X1 - X2 with X1 eager at the unit fixed point 1 and X2
+    # settled at n = 1: the product ties with c at n = 3 only, and X1 - X2,
+    # put first, never vanishes
+    ctx = PadicContext(3, 40)
+    P, Q = unit_fixed_point_map(ctx, 3), Polynomial(ctx, [0, 3, 1])
+    x1, x2 = ctx.integer(4), ctx.integer(3)
+    c = orbit_point(P, x1, 3) * orbit_point(Q, x2, 3)
+    f1 = MultivariatePoly(ctx, 2, {(1, 1): 1, (0, 0): -c})
+    f2 = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    for name, variety, hit in (("eager_and_settled", [f1], True),
+                               ("eager_and_settled_apart", [f2, f1], False)):
+        out.append((name, unvalidated(ctx, [P, Q], [ctx.one(), ctx.zero()], [x1, x2], variety),
+                    30, hit))
+    # an eager coordinate that starts as O(3^2) at alpha = 1, so it is bounded as
+    # a zero: X1 X2 - c is O(3^3) at n = 0, a hit
+    out.append(("eager_zero_bound", unvalidated(ctx, [P, Q], [ctx.one(), ctx.zero()],
+                                                [ctx.zero(2), x2], [f1]), 30, True))
+    # X1 starts as O(3^2) at alpha = 0, so it is settled without the lemma and
+    # is no unit: X1 - 3^5 and X1 vanish from n = 3 on.  From an exact zero,
+    # X1 X2 and X1 vanish at every index.
+    f_x1 = MultivariatePoly(ctx, 2, {(1, 0): 1})
+    for name, x1, f1 in (
+        ("indistinguishable", ctx.zero(2), MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 0): -243})),
+        ("exact_zero", ctx.zero(), MultivariatePoly(ctx, 2, {(1, 1): 1})),
+    ):
+        out.append((name, unvalidated(ctx, [Q, Q], [ctx.zero()] * 2, [x1, x2], [f1, f_x1]),
+                    20, True))
+    # a constant generator, and one whose terms are all exactly zero
+    for name, terms, hit in (("constant", {(0, 0): 5}, False), ("empty", {(0, 0): 0}, True)):
+        f = MultivariatePoly(ctx, 2, terms)
+        out.append((name, unvalidated(ctx, [Q, Q], [ctx.zero()] * 2, [x2, x2], [f]), 10, hit))
+    return out
+
+
+@pytest.mark.parametrize("name,validated,n_max,hit", valuation_cases(),
+                         ids=[case[0] for case in valuation_cases()])
+def test_valuation_test_cases_match_reference(name, validated, n_max, hit):
+    new = scan_outcome(direct_orbit_scan, validated, n_max)
+    assert new == scan_outcome(reference_direct_orbit_scan, validated, n_max)
+    assert new[0] == "hits" and bool(new[1]) == hit
+
+
+@pytest.mark.parametrize("dominant", [False, True])
+def test_term_past_inf_bound_still_raises(dominant):
+    """X1^78,536,549 at v(X1) = 14,000 lies past INF_BOUND.  With + X2 the
+    least term is X2 alone, yet the scan must evaluate and raise as
+    ``eval_triples`` does (the reference predates that error)."""
+    ctx = PadicContext(2, 40)
+    P = Polynomial(ctx, [0, 2, 1])
+    terms = {(78_536_549, 0): 1}
+    if dominant:
+        terms[(0, 1)] = 1
+    f = MultivariatePoly(ctx, 2, terms)
+    validated = unvalidated(ctx, [P, P], [ctx.zero()] * 2,
+                            [ctx.integer(2**14000), ctx.integer(4)], [f])
+    with pytest.raises(PrecisionError, match="not below INF_BOUND") as exc:
+        direct_orbit_scan(validated, 5)
+    with pytest.raises(PrecisionError) as direct:
+        f.evaluate(validated.spec.start)
+    assert str(exc.value) == str(direct.value)
+
+
+def valuation_system(rng, p, precision):
+    """Coordinates of three kinds: at alpha = 0 with multiplier b1 (the lemma
+    settles them), at the unit fixed point 1 (always eager), and starting
+    indistinguishable from alpha = 0.  Each generator is up to three random
+    monomials (exponents 0-3, coefficient valuations -3 to 3) minus, half the
+    time, their value at a random orbit index, which puts a constant at an
+    orbit valuation and a hit there."""
+    ctx = PadicContext(p, precision)
+    g = rng.randint(2, 3)
+    b1 = PadicNumber(ctx, rng.randint(1, 2), rng.choice([1, p + 1, p - 1]), precision)
+    maps, alphas, start = [], [], []
+    for _ in range(g):
+        kind = rng.random()
+        if kind < 0.2:
+            maps.append(unit_fixed_point_map(ctx, b1))
+            alphas.append(ctx.one())
+            start.append(1 + PadicNumber(ctx, rng.randint(1, 3), rng.randrange(1, p**4, p), 4))
+            continue
+        higher = [random_number(rng, ctx) for _ in range(rng.randint(0, 2))]
+        maps.append(Polynomial(ctx, [ctx.zero(), b1] + higher
+                               + [random_number(rng, ctx, allow_zero=False)]))
+        alphas.append(ctx.zero())
+        if kind < 0.35:
+            start.append(ctx.zero() if rng.random() < 0.5 else ctx.zero(rng.randint(1, 9)))
+        else:
+            k = rng.randint(1, precision)
+            start.append(PadicNumber(ctx, rng.randint(1, 4), rng.randrange(1, p**k, p), k))
+    n_max = rng.choice([5, 20, 40])
+    variety = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            expo = tuple(rng.randint(0, 3) for _ in range(g))
+            k = rng.randint(1, precision)
+            terms[expo] = PadicNumber(ctx, rng.randint(-3, 3), rng.randrange(1, p**k, p), k)
+        if rng.random() < 0.5:
+            cur = [orbit_point(P, x, rng.randint(0, n_max)) for P, x in zip(maps, start)]
+            value = reference_evaluate(MultivariatePoly(ctx, g, terms), cur)
+            if value.is_certified_nonzero and (0,) * g not in terms:
+                terms[(0,) * g] = -value
+        variety.append(MultivariatePoly(ctx, g, terms))
+    return unvalidated(ctx, maps, alphas, start, variety), n_max
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_valuation_systems_match_reference(p, monkeypatch):
+    """Hits, or the collapse's failing index and message, equal the reference's,
+    and the valuation test decides many of the generator values."""
+    evaluated = [0]
+    eval_triples = MultivariatePoly.eval_triples
+
+    def counted(self, xs):
+        evaluated[0] += 1
+        return eval_triples(self, xs)
+
+    monkeypatch.setattr(MultivariatePoly, "eval_triples", counted)
+    rng = random.Random(7300 + p)
+    outcomes = set()
+    decided = 0
+    for _ in range(120):
+        validated, n_max = valuation_system(rng, p, rng.choice([8, 24, 60]))
+        evaluated[0] = 0
+        new = scan_outcome(direct_orbit_scan, validated, n_max)
+        decided += new[0] == "hits" and evaluated[0] <= n_max
+        assert new == scan_outcome(reference_direct_orbit_scan, validated, n_max)
+        outcomes.add(new[0] if new[0] == "collapsed" else bool(new[1]))
+    assert outcomes == {"collapsed", True, False}
+    assert decided >= 20
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scan_long_instances_match_reference(seed):
+    """The benchmark's long scans, N up to 2048 and up to 700 steps."""
+    for inst in workloads.generate("scan_long", seed):
+        spec = load_problem(json.dumps(inst.doc))
+        validated = validate(spec)
+        n_max = spec.max_direct_iterations
+        new = scan_outcome(direct_orbit_scan, validated, n_max)
+        assert new == scan_outcome(reference_direct_orbit_scan, validated, n_max), inst.name
+
+
+def counted_runs(monkeypatch, maps):
+    """Per map, the count of its evaluations, and the count of generator evaluations."""
+    runs = {id(P): 0 for P in maps}
+    evaluated = [0]
+    eval_triple, eval_triples = Polynomial.eval_triple, MultivariatePoly.eval_triples
+
+    def counted_map(self, *z):
+        runs[id(self)] += 1
+        return eval_triple(self, *z)
+
+    def counted_generator(self, xs):
+        evaluated[0] += 1
+        return eval_triples(self, xs)
+
+    monkeypatch.setattr(Polynomial, "eval_triple", counted_map)
+    monkeypatch.setattr(MultivariatePoly, "eval_triples", counted_generator)
+    return lambda: ([runs[id(P)] for P in maps], evaluated[0])
+
+
+def test_scan_catches_up_a_settled_coordinate_only_at_a_tie(monkeypatch):
+    """X1 - z_6 from X1 = 3 under 3X + X^2: X1 runs once to settle (valuation 2
+    at n = 1), and five more times at n = 6, the only index where X1 and the
+    constant tie.  That is the hit and the only generator evaluation."""
+    ctx = PadicContext(3, 200)
+    maps = [Polynomial(ctx, [0, 3, 1]), Polynomial(ctx, [0, 3, 1])]
+    x1 = ctx.integer(3)
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 0): -orbit_point(maps[0], x1, 6)})
+    spec = SystemSpec(ctx, maps, [ctx.zero()] * 2, [x1, ctx.integer(9)], [f], 4, 40)
+    validated = validate(spec)
+    counts = counted_runs(monkeypatch, maps)
+    assert direct_orbit_scan(validated, 40) == [6]
+    assert counts() == ([6, 0], 1)
+    monkeypatch.undo()
+    assert reference_direct_orbit_scan(validated, 40) == [6]
+
+
+def test_scan_with_a_tie_at_every_step_evaluates_every_step(monkeypatch):
+    """X1 - X2 from 140 and 833 under X^2 + 7X: tied from n = 1 on, so both maps
+    run once a step and the generator is evaluated at every index but 0."""
+    ctx = PadicContext(7, 64)
+    maps = [Polynomial(ctx, [0, 7, 1]), Polynomial(ctx, [0, 7, 1])]
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    validated = unvalidated(ctx, maps, [ctx.zero()] * 2,
+                            [ctx.integer(140), ctx.integer(833)], [f])
+    counts = counted_runs(monkeypatch, maps)
+    assert direct_orbit_scan(validated, 30) == []
+    assert counts() == ([30, 30], 30)
