@@ -479,9 +479,9 @@ def valuation_cases():
     return out
 
 
-@pytest.mark.parametrize("name,validated,n_max,hit", valuation_cases(),
-                         ids=[case[0] for case in valuation_cases()])
-def test_valuation_test_cases_match_reference(name, validated, n_max, hit):
+@pytest.mark.parametrize("validated,n_max,hit",
+                         [pytest.param(*case[1:], id=case[0]) for case in valuation_cases()])
+def test_valuation_test_cases_match_reference(validated, n_max, hit):
     new = scan_outcome(direct_orbit_scan, validated, n_max)
     assert new == scan_outcome(reference_direct_orbit_scan, validated, n_max)
     assert new[0] == "hits" and bool(new[1]) == hit
