@@ -35,6 +35,10 @@ from .series import TruncatedSeries
 DEFAULT_TRUNCATION = 64
 DEFAULT_MAX_ITERATIONS = 200
 
+# digits kept by the direct scan's cut copies of settled coordinates, which
+# decide valuation ties between orbit coordinates (direct_orbit_scan)
+_CUT_DIGITS = 64
+
 _QP_NOTE = (
     "analysis runs over Q_p (unramified, capped precision); ramified data is"
     " out of scope"
@@ -238,7 +242,7 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     advanced every step, with its collapse test, until it is *settled*: no
     collapse test can fire for it again.  From then on it is advanced, one
     step at a time, only when a generator that reads it is evaluated, which
-    the valuation test below often avoids.  Every value read is the
+    the valuation test and the cut copies below often avoid.  Every value read is the
     triple the every-step iteration computes, so the hits and the error are
     those of advancing every coordinate every step.  A coordinate is settled
 
@@ -290,32 +294,86 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     valuation w, by the same shifted sum.  The coordinates the test does not
     advance are caught up later, from the same triples, when a generator is
     evaluated, so every value read is unchanged.
+
+    A tie that reads a settled coordinate behind n, and that no constant
+    term joins (``MultivariatePoly.cut_test_applies``), is first decided
+    from cut copies: each such coordinate's triple at ``at[i]``, cut to its
+    first ``_CUT_DIGITS`` digits, is stepped to n (the copy is kept and
+    stepped on at later ties until the coordinate itself is caught up), and
+    f is evaluated at the copies and the current eager triples.  When that is
+    a unit, f does not vanish at n and the scan moves on; otherwise it
+    catches up and evaluates as above.  A generator that vanished when last
+    evaluated is evaluated at its next tie without copies: on an orbit that
+    stays on the variety, as a diagonal (f, f) from equal starts does, the
+    copies would vanish at every index too.  Copies are used only for a
+    coordinate whose C + D * c is below INF_BOUND, with C the greatest
+    absolute precision of a coefficient of its map, D the degree and c the
+    cap v(z_n) + k(z_n) + (n_max - n) v(b1) at settling.
+
+    Claim: f at z_n is then a unit.  A triple stands for a set: a unit for
+    p^v (u + p^k Z_p), a zero bounded at m for p^m Z_p, an exact zero for
+    {0}; a copy cut to fewer digits stands for a superset.  ``tr_mul``,
+    ``tr_neg`` and ``tr_add`` return the set of products, negations or sums
+    of their operands' values (a unit product keeps the lesser k; a sum
+    keeps the digits below the lesser absolute precision and is the zero
+    bounded there when they cancel), except that a bound at INF_BOUND or
+    more becomes an exact zero.  Away from that, larger operand sets give a
+    larger result set.  Along the exact computation no value reaches
+    INF_BOUND: a settled coordinate's absolute precision stays at most c
+    (the lemma), each Horner product adds at most c to the absolute
+    precision of the partial sum and each sum takes at most the lesser of
+    its operands', so every value ``horner`` forms is at most C + D * c;
+    ``cut_test_applies`` bounds the values ``eval_triples`` forms in the
+    same way.  A copy's value has a valuation or bound at most that of the
+    value it stands over, so the cut computation does not reach INF_BOUND
+    either.  By induction over ``horner``'s plain loop (which it returns
+    exactly) and ``eval_triples``' terms, the set of f at the copies
+    contains the set of f at z_n.  If the former is a unit's, 0 lies
+    outside both, so f at z_n is a unit, not a zero triple; its terms lie
+    below INF_BOUND, so evaluating would raise nothing.  The copies are
+    never read as coordinates: every value read is unchanged.
     """
     spec = validated.spec
     if n_max is None:
         n_max = spec.max_direct_iterations
     p = spec.ctx.prime
     maps = [P.eval_triple for P in spec.maps]
-    variety = [(f.eval_triples, f.dominant_valuation, f.variables) for f in spec.variety]
+    variety = [
+        (f.eval_triples, f.dominant_valuation, f.cut_test_applies, f.variables)
+        for f in spec.variety
+    ]
     # z - alpha is z + (-alpha): negate each fixed point once, then the
     # collapse test is one tr_add per coordinate per step.  At alpha = 0 exactly
     # the sum is z itself whenever z's absolute precision is at most INF_BOUND,
     # so z's unit decides with no call.
     neg_alphas = [_core.tr_neg(p, a._v, a._u, a._k) for a in spec.fixed_points]
-    # (m, v(b1)) for a coordinate the lemma can settle, else None
+    # (m, v(b1)) for a coordinate the lemma can settle, else None; and for it
+    # (C, D): the greatest absolute precision of a coefficient and the degree
     settling = []
+    ceilings = []
     for P, alpha in zip(spec.maps, spec.fixed_points):
         b0, b1 = P.coefficients[0], P.coefficients[1]
         if alpha.is_exact_zero and b0.is_exact_zero and b1.is_certified_nonzero and b1._v >= 1:
             settling.append((contraction_radius(P.coefficients, b1._v), b1._v))
+            ceilings.append((
+                max(c._v + c._k for c in P.coefficients if not c.is_exact_zero), P.degree
+            ))
         else:
             settling.append(None)
+            ceilings.append(None)
+    pcut = p**_CUT_DIGITS
     cur = [(x._v, x._u, x._k) for x in spec.start]
     # at[i]: the index of cur[i] once coordinate i is settled, None before
     at = [None] * len(cur)
     # slopes[i]: v(b1) once the lemma settled coordinate i, else None
     slopes = [None] * len(cur)
     vals = [0] * len(cur)  # the read coordinates' valuations at n, for the valuation test
+    # cut[i]: whether a lemma-settled coordinate may be stepped as a cut copy,
+    # low[i]: that copy, at index low_at[i]
+    cut = [False] * len(cur)
+    low = [None] * len(cur)
+    low_at = [-1] * len(cur)
+    vanished = [False] * len(variety)  # whether generator g vanished when last evaluated
     eager = list(range(len(cur)))
     hits = []
     for n in range(n_max + 1):
@@ -339,12 +397,15 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
                 settled = True
             elif settling[i]:
                 m, vb1 = settling[i]
-                if zv >= m and zv + zk + (n_max - n) * vb1 <= INF_BOUND:
+                cap = zv + zk + (n_max - n) * vb1
+                if zv >= m and cap <= INF_BOUND:
                     at[i], slopes[i] = n, vb1
+                    top, degree = ceilings[i]
+                    cut[i] = top + degree * cap < INF_BOUND
                     settled = True
         if settled:
             eager = [i for i in eager if at[i] is None]
-        for f, dominant, reads in variety:
+        for g, (f, dominant, cut_applies, reads) in enumerate(variety):
             for i in reads:
                 j = at[i]
                 if j is None:
@@ -358,6 +419,26 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
             else:
                 if dominant(vals) is not None:
                     break  # f does not vanish at n
+                behind = [i for i in reads if at[i] is not None and at[i] < n]
+                if behind and not vanished[g] and all(cut[i] for i in behind) \
+                        and cut_applies(vals):
+                    point = list(cur)
+                    for i in behind:
+                        j = low_at[i]
+                        if j <= at[i]:
+                            j = at[i]
+                            z = cur[i]
+                            if z[2] > _CUT_DIGITS:
+                                z = (z[0], z[1] % pcut, _CUT_DIGITS)
+                        else:
+                            z = low[i]
+                        step = maps[i]
+                        for _ in range(n - j):
+                            z = step(*z)
+                        point[i] = low[i] = z
+                        low_at[i] = n
+                    if f(point)[1]:
+                        break  # a unit at the cut copies, so f does not vanish at n
             for i in reads:
                 j = at[i]
                 if j is not None and j < n:
@@ -365,7 +446,8 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
                     for _ in range(n - j):
                         z = step(*z)
                     cur[i], at[i] = z, n
-            if f(cur)[1]:
+            vanished[g] = not f(cur)[1]
+            if not vanished[g]:
                 break
         else:
             hits.append(n)

@@ -140,6 +140,42 @@ class MultivariatePoly:
                 tied = True
         return None if tied else least
 
+    def cut_test_applies(self, vals):
+        """Whether a tie at a point of units may be decided from cut copies.
+
+        ``vals`` is as for ``dominant_valuation``.  True when some term reads
+        a variable, no constant term has the least term valuation, and every
+        term has max(v(c), 0) + sum of e_i * max(vals[i], 0) + N below
+        INF_BOUND, N the working precision.  Then every product
+        ``eval_triples`` forms at such a point (the powers of ``triple_pow``
+        and a term's partial products) is a unit of valuation at most its
+        term's bound less N, with at most N digits, and a sum keeps at most
+        the least absolute precision of its operands, so no value formed has
+        a valuation or absolute precision at INF_BOUND or more (the proof
+        that uses this is in ``checker.direct_orbit_scan``).  A constant at
+        the least valuation is passed over: a settled coordinate's valuation
+        grows while the constant's does not, so such a tie holds at one
+        index, where a hit X_i - z_k lies, and evaluating there costs only
+        the catch-up the hit needs anyway.
+        """
+        n = self.ctx.working_precision
+        least = None
+        constant_least = False
+        for _, (tv, _, _), powers in self._monomials:
+            top = tv if tv > 0 else 0
+            for i, e in powers:
+                v = vals[i]
+                tv += e * v
+                if v > 0:
+                    top += e * v
+            if top + n >= INF_BOUND:
+                return False
+            if least is None or tv < least:
+                least, constant_least = tv, not powers
+            elif tv == least and not powers:
+                constant_least = True
+        return least is not None and not constant_least
+
     def evaluate_series(self, series_list, order: int) -> TruncatedSeries:
         """Substitute a truncated series for each variable.
 

@@ -635,3 +635,103 @@ def test_scan_with_a_tie_at_every_step_evaluates_every_step(monkeypatch):
     counts = counted_runs(monkeypatch, maps)
     assert direct_orbit_scan(validated, 30) == []
     assert counts() == ([30, 30], 30)
+
+
+# -- the scan's cut copies -----------------------------------------------------
+
+
+def counted_widths(monkeypatch):
+    """The digits k of the argument of every map evaluation, in call order."""
+    widths = []
+    eval_triple = Polynomial.eval_triple
+
+    def counted(self, *z):
+        widths.append(z[2])
+        return eval_triple(self, *z)
+
+    monkeypatch.setattr(Polynomial, "eval_triple", counted)
+    return widths
+
+
+def test_a_tie_between_coordinates_steps_only_cut_copies(monkeypatch):
+    """X1 - X2 from 140 and 833 under X^2 + 7X at N = 400: X2 settles at n = 0
+    and X1 at n = 1, after one full-width step; from then on only cut copies
+    of 64 digits are stepped, one step per coordinate per index."""
+    ctx = PadicContext(7, 400)
+    P = Polynomial(ctx, [0, 7, 1])
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    validated = unvalidated(ctx, [P, P], [ctx.zero()] * 2,
+                            [ctx.integer(140), ctx.integer(833)], [f])
+    widths = counted_widths(monkeypatch)
+    assert direct_orbit_scan(validated, 30) == []
+    assert widths == [400] + [64] * 59
+    monkeypatch.undo()
+    assert reference_direct_orbit_scan(validated, 30) == []
+
+
+@pytest.mark.parametrize("depth,hits,widths", [
+    (None, list(range(31)), [200] * 60),
+    (20, [], [64] * 60),
+    (100, [], [64, 64, 200, 200] * 30),
+])
+def test_cut_copies_fall_back_below_their_digits(depth, hits, widths, monkeypatch):
+    """X1 + X2 under the odd map 3X + X^3 from 6 and -6 + 3^(1 + depth): the
+    sum keeps depth more digits of cancellation than its terms at every index,
+    and both coordinates settle at n = 0.  A depth of 20 is decided by the
+    64-digit copies; at a depth of 100 the copies vanish, so both coordinates
+    are caught up at full width every step.  Exactly opposite starts hit
+    everywhere: the generator vanishes at n = 0, so no copies are tried."""
+    ctx = PadicContext(3, 200)
+    P = Polynomial(ctx, [0, 3, 0, 1])
+    x2 = -6 if depth is None else -6 + 3 ** (1 + depth)
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): 1})
+    validated = unvalidated(ctx, [P, P], [ctx.zero()] * 2, [ctx.integer(6), ctx.integer(x2)], [f])
+    counted = counted_widths(monkeypatch)
+    assert direct_orbit_scan(validated, 30) == hits
+    assert counted == widths
+    monkeypatch.undo()
+    assert reference_direct_orbit_scan(validated, 30) == hits
+
+
+def test_cut_copies_do_not_hide_a_hit_between_coordinates():
+    """X1 - X2 from 9 under 3X + X^2 and 63 under 3X - X^2 / 49: both settle at
+    n = 0 and tie at every index, and both orbits reach 108 at n = 1.  The
+    copies vanish there, so the scan evaluates the full values and finds the
+    hit; at later ties the copies decide."""
+    ctx = PadicContext(3, 200)
+    P = Polynomial(ctx, [0, 3, 1])
+    Q = Polynomial(ctx, [0, 3, ctx.from_rational(-1, 49)])
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    validated = unvalidated(ctx, [P, Q], [ctx.zero()] * 2, [ctx.integer(9), ctx.integer(63)], [f])
+    assert direct_orbit_scan(validated, 30) == [1]
+    assert reference_direct_orbit_scan(validated, 30) == [1]
+
+
+@pytest.mark.parametrize("v,cut", [(2**38, True), (2**39, False)])
+def test_cut_copies_need_the_coordinate_ceiling(v, cut, monkeypatch):
+    """X1 - X2 from 2^v and 3 * 2^v under X^2 + 2X at N = 100: both settle at
+    n = 0 and tie at every step.  At v = 2^39, C + D c = 101 + 2 (2^39 + 100
+    + 10) reaches INF_BOUND, so the coordinates are stepped at full width."""
+    ctx = PadicContext(2, 100)
+    P = Polynomial(ctx, [0, 2, 1])
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    starts = [PadicNumber(ctx, v, 1, 100), PadicNumber(ctx, v, 3, 100)]
+    validated = unvalidated(ctx, [P, P], [ctx.zero()] * 2, starts, [f])
+    widths = counted_widths(monkeypatch)
+    assert direct_orbit_scan(validated, 10) == []
+    assert widths == [64 if cut else 100] * 20
+    monkeypatch.undo()
+    assert reference_direct_orbit_scan(validated, 10) == []
+
+
+def test_cut_test_applies_to_ties_without_a_constant_below_inf_bound():
+    ctx = PadicContext(3, 40)
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1, (0, 0): 27})
+    assert f.cut_test_applies([2, 2])
+    assert not f.cut_test_applies([3, 5])  # the constant ties X1 at 3
+    g = MultivariatePoly(ctx, 2, {(2, 0): ctx.from_rational(1, 3), (0, 1): -1})
+    assert g.cut_test_applies([INF_BOUND // 2 - 21, INF_BOUND - 41])
+    assert not g.cut_test_applies([INF_BOUND // 2 - 20, INF_BOUND - 41])
+    assert not g.cut_test_applies([0, INF_BOUND - 40])
+    assert not MultivariatePoly(ctx, 2, {(0, 0): 5}).cut_test_applies([1, 1])
+    assert not MultivariatePoly(ctx, 2, {}).cut_test_applies([1, 1])
