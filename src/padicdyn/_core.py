@@ -44,29 +44,11 @@ that exponent below the new term's least ``k``, and it skips every unit*unit
 term at or above ``a``, which keeps each term's offset from ``m`` and the
 final ``a - m`` below the ``k`` of the term that set ``m``.  (Without the skip,
 operands with valuations 10**4 apart would build a cache 2*10**4 powers long.)
-``horner``'s fused step reads ``p**d``, ``p**(K - d)`` and ``p**K`` with
-``0 < d < K``, and a coefficient's ``p**k`` only when it is already cached.
 
 ``horner`` evaluates a polynomial or a truncated series at a triple ``z`` by
-Horner's rule, acc = acc*z + c from the top, and returns exactly the triple
-of the plain loop of ``tr_mul`` and ``tr_add``.  It skips a product by an
-exact one and a sum with an exact zero (each returns its operand), and it
-fuses a shifted sum into the product that follows it.  Let acc = p**w * a and
-c = p**vc * c_u be units with vc < w and d = w - vc.  Their sum is p**vc * s
-with ``s = (c_u + p**d * a) mod p**ks``, and its product by z has the unit
-``s * z_u mod p**K`` with ``K = min(ks, z_k)``.  As K <= ks, s may be replaced
-by c_u + p**d * a modulo p**K, and p**d * t modulo p**K depends only on t
-modulo p**(K - d).  So, for any c congruent to c_u modulo p**K,
-
-    s * z_u = c * z_u + p**d * ((y * z_u) mod p**(K - d))   (mod p**K)
-
-with ``y = a mod p**(K - d)``: the same residue, from a product of
-(K - d)-digit numbers in place of the K-digit product and its K-digit
-reduction.  When acc is z itself (the top coefficient was an exact one),
-y * z_u is the square y * y.  The step applies when z is a unit, d < K, and c,
-read as the nearer of c_u and c_u - p**k_c, is below p**d in magnitude, so
-that c * z_u is a short multiple (a coefficient -1 or -2 counts as short);
-every other sum is formed with ``tr_add``'s arithmetic.
+Horner's rule, acc = acc*z + c from the top, with one ``tr_mul`` and one
+``tr_add`` per step.  It skips a product by an exact one and a sum with an
+exact zero (each returns its operand).
 
 Callers look the public functions up as ``_core.<name>`` at call time, so a
 wrapper installed on this module (``checkbench/tracing.py``) sees every call
@@ -219,73 +201,19 @@ def horner(p, top, below, zv, zu, zk):
 
     ``top`` is the leading coefficient's triple and ``below`` yields the
     others from the next degree down to the constant.  The result is exactly
-    the triple of the plain loop ``acc = tr_add(tr_mul(acc, z), c)``.  A
+    the triple of the plain loop ``acc = tr_add(tr_mul(acc, z), c)``: a
     product by exactly (0, 1, k) of a unit with at most k digits or of a zero
-    bounded at most at INF_BOUND is z itself, an exact zero added to a value
-    whose absolute precision is at most INF_BOUND leaves it as it is, and a
-    shifted sum that the next step multiplies by z is not formed (the fused
-    step of the module docstring).
+    bounded at most at INF_BOUND is z itself, and an exact zero added to a
+    value whose absolute precision is at most INF_BOUND leaves it as it is.
     """
-    try:
-        pw = _POW_CACHE[p]
-    except KeyError:
-        pw = _grow(p, 0)
     v, u, k = top
-    d = 0  # > 0 while acc + c waits, unformed, for the product by z
-    same = False  # acc is z itself
     for cv, cu, ck in below:
-        if d:
-            # the fused step: (c + p**d * acc) * z from cs and acc's low digits
-            pe = pw[K - d]
-            y = u % pe if u >= pe else u
-            if same:
-                w = y * y % pe
-            else:
-                w = y * (zu % pe if zu >= pe else zu) % pe
-            v, u, k = fv + zv, (cs * zu + w * pw[d]) % pK, K
-            d = 0
-            same = False
-        elif u == 1 and v == 0 and (zk <= k if zu else zv <= INF_BOUND):
+        if u == 1 and v == 0 and (zk <= k if zu else zv <= INF_BOUND):
             v, u, k = zv, zu, zk
-            same = True
-        elif u and zu:
-            K = k if k < zk else zk
-            try:
-                pK = pw[K]
-            except IndexError:
-                pK = _grow(p, K)[K]
-            v, u, k = v + zv, (u * zu) % pK, K
-            same = False
         else:
             v, u, k = _mul(p, v, u, k, zv, zu, zk)
-            same = False
-        if cu and u and zu and cv < v:
-            # a shifted sum, c g digits below acc; its product by z keeps K digits
-            g = v - cv
-            a = cv + ck
-            b = v + k
-            K = (a if a < b else b) - cv
-            if zk < K:
-                K = zk
-            if g < K:
-                try:
-                    pK = pw[K]  # the fused step reads powers through p**K
-                except IndexError:
-                    pK = _grow(p, K)[K]
-                pg = pw[g]
-                if cu < pg:
-                    d, cs = g, cu
-                elif ck < len(pw) and pw[ck] - cu < pg:
-                    d, cs = g, cu - pw[ck]
-            if d:
-                fv = cv
-            else:
-                v, u, k = _add(p, v, u, k, cv, cu, ck)
-        elif cu or cv < INF_BOUND or v + k > INF_BOUND:
+        if cu or cv < INF_BOUND or v + k > INF_BOUND:
             v, u, k = _add(p, v, u, k, cv, cu, ck)
-    if d:
-        # the constant term's sum, left for a product that does not follow
-        return _add(p, v, u, k, cv, cu, ck)
     return v, u, k
 
 

@@ -256,12 +256,12 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     Lemma: then every later z_{n+j} (j <= n_max - n) is a unit of valuation
     v(z_n) + j v(b1), with absolute precision at most INF_BOUND, so its
     collapse test (z itself at alpha = 0) passes.  Take one step from such a
-    z; ``horner`` returns the triple of the plain loop of ``tr_mul`` and
-    ``tr_add``.  Neither call returns a valuation or zero bound below the least
-    of its operands', so Horner's partial sum above b1, times z, has a
-    valuation or bound at least the least v(b_i) + (i - 1) v(z) over i >= 2
-    (INF_BOUND for exact zeros), which exceeds v(b1) since v(z) >= m (and
-    v(b1) < INF_BOUND while a step remains).  A sum whose operand of strictly
+    z; ``horner`` runs the plain loop of ``tr_mul`` and ``tr_add``.  Neither
+    call returns a valuation or zero bound below the least of its operands',
+    so Horner's partial sum above b1, times z, has a valuation or bound at
+    least the least v(b_i) + (i - 1) v(z) over i >= 2 (INF_BOUND for exact
+    zeros), which exceeds v(b1) since v(z) >= m (and v(b1) < INF_BOUND while
+    a step remains).  A sum whose operand of strictly
     least valuation is a unit is a unit of that valuation, so adding b1 gives a unit of valuation v(b1); times the unit z, a unit of
     valuation v(b1) + v(z); its absolute precision is at most
     v(z) + k(z) + v(b1) <= INF_BOUND, so adding the exact zero P(0) leaves
@@ -326,12 +326,12 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     ``cut_test_applies`` bounds the values ``eval_triples`` forms in the
     same way.  A copy's value has a valuation or bound at most that of the
     value it stands over, so the cut computation does not reach INF_BOUND
-    either.  By induction over ``horner``'s plain loop (which it returns
-    exactly) and ``eval_triples``' terms, the set of f at the copies
-    contains the set of f at z_n.  If the former is a unit's, 0 lies
-    outside both, so f at z_n is a unit, not a zero triple; its terms lie
-    below INF_BOUND, so evaluating would raise nothing.  The copies are
-    never read as coordinates: every value read is unchanged.
+    either.  By induction over ``horner``'s plain loop and ``eval_triples``'
+    terms, the set of f at the copies contains the set of f at z_n.  If the
+    former is a unit's, 0 lies outside both, so f at z_n is a unit, not a
+    zero triple; its terms lie below INF_BOUND, so evaluating would raise
+    nothing.  The copies are never read as coordinates: every value read is
+    unchanged.
     """
     spec = validated.spec
     if n_max is None:

@@ -253,12 +253,6 @@ class Linearization:
             raise ValidationError("argument outside the isometry ball")
         return self.log_series.evaluate(z - self.fixed_point)
 
-    def exp_of(self, w: PadicNumber) -> PadicNumber:
-        """alpha + E(w); requires v(w) >= the isometry radius."""
-        if not Ball(w.ctx.zero(), self.isometry_radius_valuation).contains(w):
-            raise ValidationError("argument outside the isometry ball")
-        return self.fixed_point + self.exp_series.evaluate(w)
-
     def __repr__(self):
         return (
             f"Linearization(T={self.exp_series.order},"
@@ -289,6 +283,8 @@ def isometry_radius(exp_series: TruncatedSeries, G: Polynomial) -> int:
 
 def linearize(P: Polynomial, alpha: PadicNumber, order: int) -> Linearization:
     """Build the full linearization of P at the attracting fixed point alpha."""
+    if order < 1:  # the isometry radius divides by the order
+        raise ValidationError(f"truncation order must be >= 1, got {order}")
     G = conjugate_to_origin(P, alpha)
     a1 = _check_multiplier(G)
     divide = _koenigs_divisor(a1, order)

@@ -3,11 +3,10 @@
 ``Polynomial.eval_triple`` and ``TruncatedSeries.evaluate`` both run
 ``_core.horner``.  Their earlier bodies are kept below: ``reference_horner``
 (the Horner loop of ``eval_triple``, with its two skips) and ``plain_horner``
-(the loop of ``evaluate``, one ``tr_mul`` and one ``tr_add`` per step).  The
-fused step, which never forms a shifted sum that the next step multiplies by
-z, must give the same triple as forming it, for every prime, coefficient
-form (short, -1 and -2, long), zero kind, digit count and valuation gap, and
-on every step of the long orbits of the ``scan_long`` benchmark slots.
+(the loop of ``evaluate``, one ``tr_mul`` and one ``tr_add`` per step).
+``horner`` must give their triples for every prime, coefficient form (short,
+-1 and -2, long), zero kind, digit count and valuation gap, and on every step
+of the long orbits of the ``scan_long`` benchmark slots.
 """
 
 import random
@@ -161,17 +160,10 @@ def test_series_evaluate_is_the_plain_loop(p, seed, t):
     assert (got._v, got._u, got._k) == want
 
 
-def test_fused_steps_make_no_kernel_call(monkeypatch):
-    """X^2 + 3X and X^3 - X^2 + 3X near 0: every shifted sum is fused into the
-    next product, so neither private operation is called; and horner never
-    reaches the public tr_* names, which a tracing wrapper may replace."""
-    calls = []
-
-    def counting(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return wrapper
+def test_horner_reaches_no_public_kernel_name(monkeypatch):
+    """X^2 + 3X, X^3 - X^2 + 3X, X^3 - 2X^2 + 3X and X^2 + 3X + 1 near 0 give
+    reference_horner's triples while the public tr_* names, which a tracing
+    wrapper may replace, refuse every call: horner reaches only _mul and _add."""
 
     def refuse(*args):
         raise AssertionError("horner called a public kernel function")
@@ -180,16 +172,10 @@ def test_fused_steps_make_no_kernel_call(monkeypatch):
     maps = [Polynomial(ctx, c) for c in ([0, 3, 1], [0, 3, -1, 1], [0, 3, -2, 1], [1, 3, 1])]
     z = (5, 2 + 3 * 7, 60)
     want = [reference_horner(3, P._top, P._below, *z) for P in maps]
-    monkeypatch.setattr(_core, "_mul", counting(_core._mul))
-    monkeypatch.setattr(_core, "_add", counting(_core._add))
     for name in ("tr_mul", "tr_add", "tr_neg", "tr_div"):
         monkeypatch.setattr(_core, name, refuse)
-    for P, w in zip(maps[:3], want):
-        assert P.eval_triple(*z) == w
-        assert calls == [], P.coefficients
-    # a constant term below the accumulator is a sum that no product follows
-    assert maps[3].eval_triple(*z) == want[3]
-    assert calls == ["tr_add"]
+    for P, w in zip(maps, want):
+        assert P.eval_triple(*z) == w, P.coefficients
 
 
 def test_powers_stay_within_operand_precision():

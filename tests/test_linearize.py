@@ -82,6 +82,20 @@ class TestKoenigsCoefficients:
         with pytest.raises(ValidationError):
             koenigs_coefficients(G, 16)  # needs N > 16 + 8
 
+    def test_linearize_refuses_order_below_one(self):
+        # the isometry radius divides by the order; the recursions take order 0
+        ctx = PadicContext(3, 32)
+        P = Polynomial(ctx, [0, 3, 1])
+        for order in (0, -1):
+            with pytest.raises(ValidationError, match=f"order must be >= 1, got {order}"):
+                linearize(P, ctx.zero(), order)
+
+    def test_recursions_refuse_a_negative_order(self):
+        G = Polynomial(PadicContext(3, 32), [0, 3, 1])
+        for recursion in (koenigs_coefficients, inverse_koenigs_coefficients):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                recursion(G, -1)
+
     def test_rejects_unit_multiplier(self, c3):
         G = Polynomial(c3, [0, 2, 1])
         with pytest.raises(ValidationError):
@@ -183,7 +197,7 @@ class TestInversionAndIsometry:
             z = c3.integer(unit * 3**v)
             w = lin.log_of(z)
             assert w.valuation == v
-            back = lin.exp_of(w)
+            back = lin.fixed_point + lin.exp_series.evaluate(w)
             assert back.valuation == v
             assert (back - z).is_zero_to_precision
 
