@@ -29,6 +29,7 @@ from .errors import PrecisionError, ValidationError
 from .padic import INF_BOUND, VALUATION_BOUND, PadicContext, PadicNumber
 from .dynamics import contraction_radius
 from .linearize import linearize
+from .multipoly import TIE, UNIT
 from .series import TruncatedSeries
 
 # SystemSpec's defaults, which are also the problem file's (problemfile imports them)
@@ -242,30 +243,35 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     advanced every step, with its collapse test, until it is *settled*: no
     collapse test can fire for it again.  From then on it is advanced, one
     step at a time, only when a generator that reads it is evaluated, which
-    the valuation test and the cut copies below often avoid.  Every value read is the
-    triple the every-step iteration computes, so the hits and the error are
-    those of advancing every coordinate every step.  A coordinate is settled
+    the term test and the cut copies below often avoid.  Every value read is
+    the triple the every-step iteration computes, so the hits and the error
+    are those of advancing every coordinate every step.  A coordinate is
+    settled
 
     * from n = 0 when it starts indistinguishable from alpha (it is never
       tested), or
     * at index n when alpha and P(0) are exact zeros, P's linear coefficient
       b1 is certified nonzero with v(b1) >= 1, z_n is a unit with
       v(z_n) >= m = ``contraction_radius(P.coefficients, v(b1))``, and
-      v(z_n) + k(z_n) + (n_max - n) v(b1) <= INF_BOUND.
+      C + D * c < INF_BOUND, with c = v(z_n) + k(z_n) + (n_max - n) v(b1),
+      C the greatest absolute precision of a coefficient of P and D its
+      degree.  As C >= 2 and D >= 1, c < INF_BOUND.  A coordinate that
+      fails this stays eager, as in the every-step iteration.
 
     Lemma: then every later z_{n+j} (j <= n_max - n) is a unit of valuation
-    v(z_n) + j v(b1), with absolute precision at most INF_BOUND, so its
-    collapse test (z itself at alpha = 0) passes.  Take one step from such a
-    z; ``horner`` runs the plain loop of ``tr_mul`` and ``tr_add``.  Neither
+    v(z_n) + j v(b1), with absolute precision at most c, so its collapse
+    test (z itself at alpha = 0) passes.  Take one step from such a z;
+    ``horner`` runs the plain loop of ``tr_mul`` and ``tr_add``.  Neither
     call returns a valuation or zero bound below the least of its operands',
     so Horner's partial sum above b1, times z, has a valuation or bound at
     least the least v(b_i) + (i - 1) v(z) over i >= 2 (INF_BOUND for exact
     zeros), which exceeds v(b1) since v(z) >= m (and v(b1) < INF_BOUND while
-    a step remains).  A sum whose operand of strictly
-    least valuation is a unit is a unit of that valuation, so adding b1 gives a unit of valuation v(b1); times the unit z, a unit of
-    valuation v(b1) + v(z); its absolute precision is at most
-    v(z) + k(z) + v(b1) <= INF_BOUND, so adding the exact zero P(0) leaves
-    it.  The next value again satisfies every condition, with n + 1.
+    a step remains).  A sum whose operand of strictly least valuation is a
+    unit is a unit of that valuation, so adding b1 gives a unit of valuation
+    v(b1); times the unit z, a unit of valuation v(b1) + v(z); its absolute
+    precision is at most v(z) + k(z) + v(b1) <= c < INF_BOUND, so adding the
+    exact zero P(0) leaves it.  The next value again satisfies every
+    condition, with n + 1 and a c no greater.
 
     Before it catches up the coordinates a generator reads, the scan tries to
     decide from valuations alone that the generator does not vanish at n.  The
@@ -274,9 +280,11 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     settled, whose triple at index j = ``at[i]`` gives v_i = v(z_j) + (n - j)
     v(b1).  A coordinate settled because it started indistinguishable from
     alpha, and an eager one bounded as a zero, fall back to evaluation.
-    ``MultivariatePoly.dominant_valuation`` returns the least term valuation
-    v(c) + sum e_i v_i when exactly one term D attains it and every term lies
-    below INF_BOUND; the scan then moves to the next index.
+    ``MultivariatePoly.term_test`` forms the term valuations v(c) + sum
+    e_i v_i once.  It returns ``UNIT`` when exactly one term D attains the
+    least, w, and every term lies below INF_BOUND; the scan then moves to the
+    next index.  It returns ``TIE`` for a tie that the cut copies below may
+    decide, and None when f must be evaluated.
 
     Claim: ``eval_triples`` at z_n returns a unit of that valuation w, so
     evaluating would have found the generator nonzero (and, with no term at
@@ -295,20 +303,17 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     advance are caught up later, from the same triples, when a generator is
     evaluated, so every value read is unchanged.
 
-    A tie that reads a settled coordinate behind n, and that no constant
-    term joins (``MultivariatePoly.cut_test_applies``), is first decided
-    from cut copies: each such coordinate's triple at ``at[i]``, cut to its
-    first ``_CUT_DIGITS`` digits, is stepped to n (the copy is kept and
+    A ``TIE`` that reads a settled coordinate behind n is first decided from
+    cut copies: each such coordinate's triple at ``at[i]``, cut to its first
+    ``_CUT_DIGITS`` digits, is stepped to n (the copy is kept and
     stepped on at later ties until the coordinate itself is caught up), and
     f is evaluated at the copies and the current eager triples.  When that is
     a unit, f does not vanish at n and the scan moves on; otherwise it
     catches up and evaluates as above.  A generator that vanished when last
     evaluated is evaluated at its next tie without copies: on an orbit that
     stays on the variety, as a diagonal (f, f) from equal starts does, the
-    copies would vanish at every index too.  Copies are used only for a
-    coordinate whose C + D * c is below INF_BOUND, with C the greatest
-    absolute precision of a coefficient of its map, D the degree and c the
-    cap v(z_n) + k(z_n) + (n_max - n) v(b1) at settling.
+    copies would vanish at every index too.  A coordinate settled at alpha
+    is never behind at a ``TIE``: the term test is not reached for it.
 
     Claim: f at z_n is then a unit.  A triple stands for a set: a unit for
     p^v (u + p^k Z_p), a zero bounded at m for p^m Z_p, an exact zero for
@@ -322,57 +327,48 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     INF_BOUND: a settled coordinate's absolute precision stays at most c
     (the lemma), each Horner product adds at most c to the absolute
     precision of the partial sum and each sum takes at most the lesser of
-    its operands', so every value ``horner`` forms is at most C + D * c;
-    ``cut_test_applies`` bounds the values ``eval_triples`` forms in the
-    same way.  A copy's value has a valuation or bound at most that of the
-    value it stands over, so the cut computation does not reach INF_BOUND
-    either.  By induction over ``horner``'s plain loop and ``eval_triples``'
-    terms, the set of f at the copies contains the set of f at z_n.  If the
-    former is a unit's, 0 lies outside both, so f at z_n is a unit, not a
-    zero triple; its terms lie below INF_BOUND, so evaluating would raise
-    nothing.  The copies are never read as coordinates: every value read is
-    unchanged.
+    its operands', so every value ``horner`` forms is at most C + D * c,
+    below INF_BOUND by the settle rule; a ``TIE`` bounds the values
+    ``eval_triples`` forms in the same way.  A copy's value has a valuation
+    or bound at most that of the value it stands over, so the cut computation
+    does not reach INF_BOUND either.  By induction over ``horner``'s plain
+    loop and ``eval_triples``' terms, the set of f at the copies contains the
+    set of f at z_n.  If the former is a unit's, 0 lies outside both, so f at
+    z_n is a unit, not a zero triple; its terms lie below INF_BOUND, so
+    evaluating would raise nothing.  The copies are never read as
+    coordinates: every value read is unchanged.
     """
     spec = validated.spec
     if n_max is None:
         n_max = spec.max_direct_iterations
     p = spec.ctx.prime
     maps = [P.eval_triple for P in spec.maps]
-    variety = [
-        (f.eval_triples, f.dominant_valuation, f.cut_test_applies, f.variables)
-        for f in spec.variety
-    ]
+    variety = [(f.eval_triples, f.term_test, f.variables) for f in spec.variety]
     # z - alpha is z + (-alpha): negate each fixed point once, then the
     # collapse test is one tr_add per coordinate per step.  At alpha = 0 exactly
     # the sum is z itself whenever z's absolute precision is at most INF_BOUND,
     # so z's unit decides with no call.
     neg_alphas = [_core.tr_neg(p, a._v, a._u, a._k) for a in spec.fixed_points]
-    # (m, v(b1)) for a coordinate the lemma can settle, else None; and for it
-    # (C, D): the greatest absolute precision of a coefficient and the degree
+    # (m, v(b1), C, D) for a coordinate the lemma can settle, else None: C is
+    # the greatest absolute precision of a coefficient and D the degree
     settling = []
-    ceilings = []
     for P, alpha in zip(spec.maps, spec.fixed_points):
         b0, b1 = P.coefficients[0], P.coefficients[1]
         if alpha.is_exact_zero and b0.is_exact_zero and b1.is_certified_nonzero and b1._v >= 1:
-            settling.append((contraction_radius(P.coefficients, b1._v), b1._v))
-            ceilings.append((
-                max(c._v + c._k for c in P.coefficients if not c.is_exact_zero), P.degree
+            settling.append((
+                contraction_radius(P.coefficients, b1._v), b1._v,
+                max(c._v + c._k for c in P.coefficients if not c.is_exact_zero), P.degree,
             ))
         else:
             settling.append(None)
-            ceilings.append(None)
     pcut = p**_CUT_DIGITS
     cur = [(x._v, x._u, x._k) for x in spec.start]
     # at[i]: the index of cur[i] once coordinate i is settled, None before
     at = [None] * len(cur)
     # slopes[i]: v(b1) once the lemma settled coordinate i, else None
     slopes = [None] * len(cur)
-    vals = [0] * len(cur)  # the read coordinates' valuations at n, for the valuation test
-    # cut[i]: whether a lemma-settled coordinate may be stepped as a cut copy,
-    # low[i]: that copy, at index low_at[i]
-    cut = [False] * len(cur)
-    low = [None] * len(cur)
-    low_at = [-1] * len(cur)
+    vals = [0] * len(cur)  # the read coordinates' valuations at n, for the term test
+    low = [(-1, None)] * len(cur)  # low[i]: (j, the cut copy of coordinate i at index j)
     vanished = [False] * len(variety)  # whether generator g vanished when last evaluated
     eager = list(range(len(cur)))
     hits = []
@@ -396,16 +392,13 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
                 at[i] = 0  # a coordinate that starts indistinguishable from alpha is never tested
                 settled = True
             elif settling[i]:
-                m, vb1 = settling[i]
-                cap = zv + zk + (n_max - n) * vb1
-                if zv >= m and cap <= INF_BOUND:
+                m, vb1, top, degree = settling[i]
+                if zv >= m and top + degree * (zv + zk + (n_max - n) * vb1) < INF_BOUND:
                     at[i], slopes[i] = n, vb1
-                    top, degree = ceilings[i]
-                    cut[i] = top + degree * cap < INF_BOUND
                     settled = True
         if settled:
             eager = [i for i in eager if at[i] is None]
-        for g, (f, dominant, cut_applies, reads) in enumerate(variety):
+        for g, (f, term_test, reads) in enumerate(variety):
             for i in reads:
                 j = at[i]
                 if j is None:
@@ -417,26 +410,22 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
                 else:
                     vals[i] = cur[i][0] + (n - j) * slopes[i]
             else:
-                if dominant(vals) is not None:
+                outcome = term_test(vals)
+                if outcome is UNIT:
                     break  # f does not vanish at n
                 behind = [i for i in reads if at[i] is not None and at[i] < n]
-                if behind and not vanished[g] and all(cut[i] for i in behind) \
-                        and cut_applies(vals):
+                if outcome is TIE and behind and not vanished[g]:
                     point = list(cur)
                     for i in behind:
-                        j = low_at[i]
+                        j, z = low[i]
                         if j <= at[i]:
-                            j = at[i]
-                            z = cur[i]
+                            j, z = at[i], cur[i]
                             if z[2] > _CUT_DIGITS:
                                 z = (z[0], z[1] % pcut, _CUT_DIGITS)
-                        else:
-                            z = low[i]
-                        step = maps[i]
                         for _ in range(n - j):
-                            z = step(*z)
-                        point[i] = low[i] = z
-                        low_at[i] = n
+                            z = maps[i](*z)
+                        point[i] = z
+                        low[i] = (n, z)
                     if f(point)[1]:
                         break  # a unit at the cut copies, so f does not vanish at n
             for i in reads:

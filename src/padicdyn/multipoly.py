@@ -7,6 +7,10 @@ from .errors import PrecisionError
 from .padic import INF_BOUND, VALUATION_BOUND, PadicContext, PadicNumber, triple_pow
 from .series import TruncatedSeries
 
+# the outcomes of MultivariatePoly.term_test other than None
+UNIT = "unit"
+TIE = "tie"
+
 
 class MultivariatePoly:
     """Polynomial in g variables, stored as {exponent vector: coefficient}.
@@ -116,51 +120,32 @@ class MultivariatePoly:
                 av, au, ak = tv, tu, tk
         return av, au, ak
 
-    def dominant_valuation(self, vals):
-        """The valuation of the one term of strictly least valuation, or None.
+    def term_test(self, vals):
+        """``UNIT``, ``TIE`` or None, from the term valuations at a point of units.
 
         ``vals[i]`` is the valuation of variable i, for every variable some
         term reads, at a point where each of those variables is a unit.  A
         term's valuation is then exactly v(c) + sum of e_i * vals[i].  The
-        result is None when there is no term, when two terms share the least
-        valuation, or when some term's valuation is INF_BOUND or more.
-        Otherwise ``eval_triples`` at that point returns a unit of this
-        valuation (the proof is in ``checker.direct_orbit_scan``).
-        """
-        least = None
-        tied = False
-        for _, (tv, _, _), powers in self._monomials:
-            for i, e in powers:
-                tv += e * vals[i]
-            if tv >= INF_BOUND:
-                return None
-            if least is None or tv < least:
-                least, tied = tv, False
-            elif tv == least:
-                tied = True
-        return None if tied else least
-
-    def cut_test_applies(self, vals):
-        """Whether a tie at a point of units may be decided from cut copies.
-
-        ``vals`` is as for ``dominant_valuation``.  True when some term reads
-        a variable, no constant term has the least term valuation, and every
-        term has max(v(c), 0) + sum of e_i * max(vals[i], 0) + N below
-        INF_BOUND, N the working precision.  Then every product
-        ``eval_triples`` forms at such a point (the powers of ``triple_pow``
-        and a term's partial products) is a unit of valuation at most its
-        term's bound less N, with at most N digits, and a sum keeps at most
-        the least absolute precision of its operands, so no value formed has
-        a valuation or absolute precision at INF_BOUND or more (the proof
-        that uses this is in ``checker.direct_orbit_scan``).  A constant at
-        the least valuation is passed over: a settled coordinate's valuation
-        grows while the constant's does not, so such a tie holds at one
-        index, where a hit X_i - z_k lies, and evaluating there costs only
-        the catch-up the hit needs anyway.
+        result is ``UNIT`` when exactly one term has the least valuation and
+        every term lies below INF_BOUND: ``eval_triples`` at that point returns
+        a unit of that valuation.  It is ``TIE`` when the least valuation is
+        shared, no constant term has it, and every term has max(v(c), 0) +
+        sum of e_i * max(vals[i], 0) + N below INF_BOUND, N the working
+        precision: every product ``eval_triples`` forms at such a point (the
+        powers of ``triple_pow`` and a term's partial products) is then a unit
+        of valuation at most its term's bound less N, with at most N digits,
+        and a sum keeps at most the least absolute precision of its operands,
+        so no value formed has a valuation or absolute precision at INF_BOUND
+        or more.  It is None otherwise: no term, a term at or past INF_BOUND,
+        or a constant at the least valuation.  Such a constant is passed over:
+        a settled coordinate's valuation grows while the constant's does not,
+        so the tie holds at one index, where a hit X_i - z_k lies, and
+        evaluating there costs only the catch-up the hit needs anyway.  (The
+        proofs that use these outcomes are in ``checker.direct_orbit_scan``.)
         """
         n = self.ctx.working_precision
         least = None
-        constant_least = False
+        shared = constant = wide = False
         for _, (tv, _, _), powers in self._monomials:
             top = tv if tv > 0 else 0
             for i, e in powers:
@@ -168,13 +153,16 @@ class MultivariatePoly:
                 tv += e * v
                 if v > 0:
                     top += e * v
-            if top + n >= INF_BOUND:
-                return False
+            if tv >= INF_BOUND:
+                return None
+            wide = wide or top + n >= INF_BOUND
             if least is None or tv < least:
-                least, constant_least = tv, not powers
-            elif tv == least and not powers:
-                constant_least = True
-        return least is not None and not constant_least
+                least, shared, constant = tv, False, not powers
+            elif tv == least:
+                shared, constant = True, constant or not powers
+        if least is None or shared and (constant or wide):
+            return None
+        return TIE if shared else UNIT
 
     def evaluate_series(self, series_list, order: int) -> TruncatedSeries:
         """Substitute a truncated series for each variable.

@@ -128,6 +128,8 @@ def read_problem(text: str, path: str = "problem",
         raise ValidationError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer with more digits than int() converts
         raise ValidationError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: the JSON is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be an object")
     prime = _require(doc, "prime", path)

@@ -297,6 +297,18 @@ def test_help_exits_0(capsys, args):
     assert capsys.readouterr().out.startswith("usage: padicdyn")
 
 
+@pytest.mark.parametrize("args", [
+    ["check"], ["linearize", "--map-index", "1"], ["orbit", "--steps", "2"],
+], ids=["check", "linearize", "orbit"])
+def test_deeply_nested_document_exits_3_naming_the_file(tmp_path, capsys, args):
+    # json.loads raises RecursionError on a document nested this deep
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([args[0], str(path), *args[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: the JSON is nested too deeply\n"
+
+
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     def broken(spec):
         raise RuntimeError("boom")

@@ -191,8 +191,8 @@ def test_powers_stay_within_operand_precision():
 
 
 @pytest.mark.parametrize("p", [13, 17])
-def test_fused_step_on_a_cold_power_cache(p):
-    # the first fused step of a process may need powers nothing has built yet
+def test_horner_on_a_cold_power_cache(p):
+    # the first Horner step of a process may need powers nothing has built yet
     top, below, z = (0, 1, 60), [(1, 1, 60), (0, p**50 - 2, 50), (INF, 0, 0)], (5, 7, 60)
     _core._POW_CACHE.pop(p, None)
     got = _core.horner(p, top, below, *z)

@@ -3,7 +3,10 @@
 A fresh isolated interpreter imports the package and checks every golden
 through ``cli.main``; none of ``fractions``, ``decimal``, ``numbers`` (rational
 parsing and slope text are integer code) or ``dataclasses`` (the records are
-plain classes) may be loaded by then.
+plain classes) may be loaded by then.  And ``import padicdyn`` alone, in a
+fresh isolated interpreter, may add to ``sys.modules`` nothing beyond its own
+modules and what ``import json, math, re, collections, __future__`` adds: the
+benchmark's ``setup_s`` times that import.
 """
 
 import subprocess
@@ -34,3 +37,25 @@ def test_check_loads_no_fractions_decimal_numbers_or_dataclasses(tmp_path):
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout == "[1, 2, 0] []\n"
+
+
+ADDED = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+%s
+print(*sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "padicdyn"))
+"""
+
+
+def modules_added(statement):
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", ADDED % statement, str(ROOT / "src")],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(out.stdout.split())
+
+
+def test_import_loads_only_what_json_math_re_and_collections_load():
+    allowed = modules_added("import json, math, re, collections, __future__")
+    assert modules_added("import padicdyn") <= allowed

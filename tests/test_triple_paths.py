@@ -32,6 +32,7 @@ from padicdyn import (
     validate,
 )
 from padicdyn.checker import ValidatedSystem
+from padicdyn.multipoly import TIE, UNIT
 from padicdyn.padic import INF_BOUND
 from padicdyn.problemfile import load_problem
 
@@ -724,14 +725,19 @@ def test_cut_copies_need_the_coordinate_ceiling(v, cut, monkeypatch):
     assert reference_direct_orbit_scan(validated, 10) == []
 
 
-def test_cut_test_applies_to_ties_without_a_constant_below_inf_bound():
+def test_term_test_outcomes():
     ctx = PadicContext(3, 40)
     f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1, (0, 0): 27})
-    assert f.cut_test_applies([2, 2])
-    assert not f.cut_test_applies([3, 5])  # the constant ties X1 at 3
+    assert f.term_test([2, 2]) is TIE
+    assert f.term_test([3, 5]) is None  # the constant ties X1 at 3
+    assert f.term_test([5, 5]) is UNIT  # the constant lies below the tie
     g = MultivariatePoly(ctx, 2, {(2, 0): ctx.from_rational(1, 3), (0, 1): -1})
-    assert g.cut_test_applies([INF_BOUND // 2 - 21, INF_BOUND - 41])
-    assert not g.cut_test_applies([INF_BOUND // 2 - 20, INF_BOUND - 41])
-    assert not g.cut_test_applies([0, INF_BOUND - 40])
-    assert not MultivariatePoly(ctx, 2, {(0, 0): 5}).cut_test_applies([1, 1])
-    assert not MultivariatePoly(ctx, 2, {}).cut_test_applies([1, 1])
+    assert g.term_test([INF_BOUND // 2 - 21, INF_BOUND - 41]) is UNIT
+    assert g.term_test([INF_BOUND // 2 - 20, INF_BOUND - 41]) is None  # tied, bound + N too wide
+    assert g.term_test([0, INF_BOUND - 40]) is UNIT
+    assert g.term_test([0, INF_BOUND]) is None  # a unique least term, another past INF_BOUND
+    h = MultivariatePoly(ctx, 2, {(2, 0): 1, (0, 1): -1})
+    assert h.term_test([INF_BOUND // 2 - 21, INF_BOUND - 42]) is TIE
+    assert h.term_test([INF_BOUND // 2 - 20, INF_BOUND - 40]) is None
+    assert MultivariatePoly(ctx, 2, {(0, 0): 5}).term_test([1, 1]) is UNIT
+    assert MultivariatePoly(ctx, 2, {}).term_test([1, 1]) is None
