@@ -64,7 +64,11 @@ are called directly by the ``PadicNumber`` operators (``padic``, with
 collapse test of ``checker.direct_orbit_scan``; ``Polynomial.eval_triple``
 (``dynamics``) and ``TruncatedSeries.evaluate`` (``series``) call ``horner``.
 The generator evaluation and the collapse test skip the same calls that
-``horner`` skips, so the traced counts hold only the calls that do work.
+``horner`` skips, so the traced counts hold only the calls that do work.  The
+collapse test also decides a unit z against a unit alpha of the same
+valuation without ``tr_add``: it reads only whether z - alpha vanishes, which
+is ``tr_add``'s zero test, one sum modulo ``p**min(k_z, k_alpha)`` from the
+power cache, and skips the strip of a nonzero difference.
 """
 
 BACKEND = "pure"

@@ -28,7 +28,7 @@ from . import _core
 from .errors import PrecisionError, ValidationError
 from .padic import INF_BOUND, VALUATION_BOUND, PadicContext, PadicNumber
 from .dynamics import contraction_radius
-from .linearize import linearize
+from .linearize import _linearize_cut, linearize
 from .multipoly import TIE, UNIT
 from .series import TruncatedSeries
 
@@ -79,9 +79,15 @@ class SystemSpec:
 
 class ValidatedSystem:
     """A SystemSpec with constructed linearizations and the orbit advanced
-    until every coordinate sits inside its certified isometry ball."""
+    until every coordinate sits inside its certified isometry ball.
 
-    __slots__ = ("spec", "linearizations", "multiplier", "n0", "advanced_start", "degenerate")
+    ``_cut`` holds the coordinates whose E and L ``validate`` built from a cut
+    copy of G (``_linearization_digits``); it is empty for every other system
+    and after ``_relinearize``.
+    """
+
+    __slots__ = ("spec", "linearizations", "multiplier", "n0", "advanced_start", "degenerate",
+                 "_cut")
 
     def __init__(self, spec: SystemSpec, linearizations: list, multiplier: PadicNumber,
                  n0: int, advanced_start: list, degenerate: bool):
@@ -91,6 +97,7 @@ class ValidatedSystem:
         self.n0 = n0
         self.advanced_start = advanced_start
         self.degenerate = degenerate
+        self._cut = ()
 
 
 class GeneratorReport(namedtuple(
@@ -148,6 +155,58 @@ def _check_digits(x: PadicNumber, where: str):
         )
 
 
+def _linearization_digits(spec: SystemSpec) -> int:
+    """Digits of G that ``validate`` builds E and L from: 4T when 16T <= N,
+    else N, every digit.
+
+    The report reads E and L only through the lambdas and F, and the
+    truncation tail caps both at about 2T digits, so 4T leaves one T of
+    margin on the lead log's usual (v(d_lead) - sigma) T = 2T.  Below the
+    gate the cut saves nothing measurable (per-operation overhead dominates
+    at N = 128), and a fallback would double the work.
+    """
+    t, n = spec.truncation, spec.ctx.working_precision
+    return 4 * t if 16 * t <= n else n
+
+
+def _units_or_exact_zeros(series: TruncatedSeries) -> bool:
+    """Check (a): every coefficient is a unit or an exact zero."""
+    return all(u or v >= INF_BOUND for v, u in zip(series._v, series._u))
+
+
+def _linearize_checked(P, alpha: PadicNumber, order: int, digits: int):
+    """(Linearization, whether it is cut) for one distinct map.
+
+    Below the working precision N, E and L are built from G cut to
+    ``digits`` digits, and kept when check (a) holds for both; otherwise,
+    and when ``digits`` is N, the map is linearized at full precision.
+    """
+    if digits < P.ctx.working_precision:
+        lin = _linearize_cut(P, alpha, order, digits)
+        if _units_or_exact_zeros(lin.exp_series) and _units_or_exact_zeros(lin.log_series):
+            return lin, True
+    return linearize(P, alpha, order), False
+
+
+def _relinearize(validated: ValidatedSystem):
+    """The fallback: replace each cut linearization of ``validated`` by
+    ``linearize``'s, keeping shared linearizations shared, and empty ``_cut``.
+
+    It changes nothing that ``validate`` derived from the cut ones: check
+    (a) made their valuations, and with them the isometry radii, n0 and the
+    advanced start, those of the full series.
+    """
+    lins = list(validated.linearizations)
+    full = {}
+    for i in validated._cut:
+        lin = lins[i]
+        if id(lin) not in full:
+            full[id(lin)] = linearize(lin.base_poly, lin.fixed_point, validated.spec.truncation)
+        lins[i] = full[id(lin)]
+    validated.linearizations = lins
+    validated._cut = ()
+
+
 def validate(spec: SystemSpec) -> ValidatedSystem:
     """Check every hypothesis and advance the orbit into the isometry balls.
 
@@ -157,6 +216,20 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
     system (f, ..., f).  Raises ValidationError naming the violated hypothesis
     (and the first coordinate that violates it) otherwise, or the field of an
     out-of-range truncation, iteration cap or value (``_check_digits``).
+
+    When 16T <= N, E and L are built from G with every coefficient cut to
+    4T digits (``_linearization_digits``); the multiplier, G, rho and G's
+    part of the isometry radius stay at full precision.  The cut G contains
+    the full G, so every cut coefficient stands over the full one (the
+    ``direct_orbit_scan`` docstring: larger operand sets give larger result
+    sets).  Check (a): every coefficient of the cut E and L is a unit or an
+    exact zero.  A unit's set holds only units of its valuation, and an exact
+    zero's only 0, so every valuation is the full series': the envelopes, the
+    tails, the isometry radii, n0 and the advanced start are unchanged.  A
+    map that fails (a) is linearized at full precision.  ``compute_lambdas``
+    and ``build_F`` check the rest and fall back to full precision
+    (``_relinearize``) where a check fails.  So ``linearizations`` holds
+    series of at most 4T digits for every map that passed (a).
     """
     if spec.truncation < 1:
         raise ValidationError(f"truncation must be >= 1, got {spec.truncation}")
@@ -182,7 +255,9 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
             _check_digits(c, f"variety[{j}] coefficient of exponents {expo}")
     if not spec.variety:
         raise ValidationError("variety must have at least one generator")
+    digits = _linearization_digits(spec)
     lins = []
+    cut = []
     distinct = {}
     for i, (P, alpha) in enumerate(zip(spec.maps, spec.fixed_points)):
         if P.ctx != spec.ctx:
@@ -191,13 +266,15 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
             tuple((c._v, c._u, c._k) for c in P.coefficients),
             (alpha.ctx, alpha._v, alpha._u, alpha._k),
         )
-        lin = distinct.get(key)
-        if lin is None:
+        entry = distinct.get(key)
+        if entry is None:
             try:
-                lin = distinct[key] = linearize(P, alpha, spec.truncation)
+                entry = distinct[key] = _linearize_checked(P, alpha, spec.truncation, digits)
             except (ValidationError, PrecisionError) as exc:
                 raise ValidationError(f"coordinate {i + 1}: {exc}") from exc
-        lins.append(lin)
+        lins.append(entry[0])
+        if entry[1]:
+            cut.append(i)
     a1 = lins[0].multiplier
     for i, lin in enumerate(lins[1:], start=2):
         if not (lin.multiplier - a1).is_zero_to_precision:
@@ -208,7 +285,9 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
             )
     distances = [x - a for x, a in zip(spec.start, spec.fixed_points)]
     if all(d.is_zero_to_precision for d in distances):
-        return ValidatedSystem(spec, lins, a1, 0, list(spec.start), True)
+        validated = ValidatedSystem(spec, lins, a1, 0, list(spec.start), True)
+        validated._cut = tuple(cut)
+        return validated
     cur = list(spec.start)
     for n in range(spec.max_direct_iterations + 1):
         inside = True
@@ -222,7 +301,9 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
                     f"cannot certify ball membership at orbit index {n}: {exc}"
                 ) from exc
         if inside:
-            return ValidatedSystem(spec, lins, a1, n, cur, False)
+            validated = ValidatedSystem(spec, lins, a1, n, cur, False)
+            validated._cut = tuple(cut)
+            return validated
         cur = [P(z) for P, z in zip(spec.maps, cur)]
     raise ValidationError(
         "start point does not reach the certified isometry balls within"
@@ -347,8 +428,12 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     # z - alpha is z + (-alpha): negate each fixed point once, then the
     # collapse test is one tr_add per coordinate per step.  At alpha = 0 exactly
     # the sum is z itself whenever z's absolute precision is at most INF_BOUND,
-    # so z's unit decides with no call.
+    # so z's unit decides with no call.  When z and -alpha are units of equal
+    # valuation, tr_add's zero test is one sum modulo p^min(k_z, k_alpha), read
+    # from the power cache (grown through the greatest k_alpha): the scan reads
+    # only whether the difference vanishes, not its stripped valuation.
     neg_alphas = [_core.tr_neg(p, a._v, a._u, a._k) for a in spec.fixed_points]
+    pw = _core._grow(p, max(nk for _, _, nk in neg_alphas))
     # (m, v(b1), C, D) for a coordinate the lemma can settle, else None: C is
     # the greatest absolute precision of a coefficient and D the degree
     settling = []
@@ -379,7 +464,9 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
                 cur[i] = maps[i](*cur[i])
             zv, zu, zk = cur[i]
             nv, nu, nk = neg_alphas[i]
-            if nu or nv < INF_BOUND or zv + zk > INF_BOUND:
+            if zv == nv and zu and nu:
+                zu = (zu + nu) % pw[zk if zk < nk else nk]
+            elif nu or nv < INF_BOUND or zv + zk > INF_BOUND:
                 zu = _core.tr_add(p, zv, zu, zk, nv, nu, nk)[1]
             if not zu:
                 if n > 0:
@@ -443,6 +530,31 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     return hits
 
 
+def _logs(validated: ValidatedSystem) -> list:
+    """L_i(z_i - alpha_i) at the advanced start, None where z_i - alpha_i is
+    zero to precision."""
+    logs = []
+    for z, lin in zip(validated.advanced_start, validated.linearizations):
+        d = z - lin.fixed_point
+        logs.append(lin.log_of(z) if d.is_certified_nonzero else None)
+    return logs
+
+
+def _logs_settle(validated: ValidatedSystem, logs: list) -> bool:
+    """Check (b): every log is a unit, the lead log's absolute precision is
+    its certified error valuation, and no other log has fewer digits."""
+    known = [(i, L) for i, L in enumerate(logs) if L is not None]
+    if not known:
+        return True  # compute_lambdas refuses the system before reading a log
+    if not all(L._u for _, L in known):
+        return False
+    lead, head = min(known, key=lambda entry: entry[1]._v)  # the first least, as compute_lambdas
+    lin = validated.linearizations[lead]
+    d = validated.advanced_start[lead] - lin.fixed_point
+    err = lin.log_series._error_valuation(d.valuation_lower_bound)
+    return head._v + head._k == err and all(L._k >= head._k for _, L in known)
+
+
 def compute_lambdas(validated: ValidatedSystem):
     """Reindexing permutation and log ratios lambda_i at orbit index n0.
 
@@ -450,14 +562,33 @@ def compute_lambdas(validated: ValidatedSystem):
     valuation; ties broken by original order), which forces v(lambda_i) >= 0
     for every other coordinate.  A coordinate sitting at its fixed point gets
     lambda exactly 0.
+
+    When ``validate`` cut the linearizations, check (b) (``_logs_settle``)
+    runs on the logs before anything else reads them; when it fails, or
+    the cut logs raise PrecisionError, ``validated`` falls back to full
+    precision (``_relinearize``) and the logs are recomputed.  Under (b) the
+    lambdas are those of the full series, triple for triple.  A triple
+    stands for a set, and the cut log stands over the full one (``validate``).
+    ``TruncatedSeries.evaluate`` caps the lead log at its error valuation
+    err, which reads only the tail and v(z - alpha): the full log has at
+    least the cut log's absolute precision, so when the cut one reaches err
+    both are the same unit capped at err.  Every other log is a unit of its
+    full valuation (so the lead and every valuation are unchanged) with at
+    least k(lead) digits on both sides, and ``tr_div`` keeps the lesser k,
+    k(lead), whose digits agree.
     """
     if validated.degenerate:
         raise ValidationError("lambdas undefined for the degenerate one-point orbit")
     spec = validated.spec
-    logs = []
-    for z, lin in zip(validated.advanced_start, validated.linearizations):
-        d = z - lin.fixed_point
-        logs.append(lin.log_of(z) if d.is_certified_nonzero else None)
+    if validated._cut:
+        try:
+            logs = _logs(validated)
+            if not _logs_settle(validated, logs):
+                _relinearize(validated)
+        except PrecisionError:
+            _relinearize(validated)
+    if not validated._cut:  # linearized at full precision, or fallen back
+        logs = _logs(validated)
     lead = None
     best = None
     for i, L in enumerate(logs):
@@ -483,6 +614,26 @@ def compute_lambdas(validated: ValidatedSystem):
     return perm, lambdas
 
 
+def _digits_at_least(series: TruncatedSeries, k: int) -> bool:
+    """Whether every unit coefficient of ``series`` carries at least k digits."""
+    return all(kk >= k for u, kk in zip(series._u, series._k) if u)
+
+
+def _series_settle(validated: ValidatedSystem, lead: int, lambdas: list, read: set) -> bool:
+    """Check (c): E_i has at least k(lambda_i) digits in every unit coefficient
+    for each coordinate i that ``build_F`` composes, and L_lead at least the
+    greatest such k(lambda_i)."""
+    lins = validated.linearizations
+    need = 0
+    for i in read:
+        if i != lead and not lambdas[i].is_zero_to_precision:  # composed, as in _pullbacks
+            k = lambdas[i]._k
+            if not _digits_at_least(lins[i].exp_series, k):
+                return False
+            need = max(need, k)
+    return _digits_at_least(lins[lead].log_series, need)
+
+
 def build_F(validated: ValidatedSystem, lead: int, lambdas: list) -> list:
     """Pullback of every generator of the variety, in order, to a series in
     w = u - alpha_lead:
@@ -495,12 +646,37 @@ def build_F(validated: ValidatedSystem, lead: int, lambdas: list) -> list:
     only for the coordinates that some generator reads (a nonzero exponent):
     ``None`` stands in for every other one, which ``evaluate_series`` never
     reads.
+
+    When ``validate`` cut the linearizations, check (c) (``_series_settle``)
+    runs first; when it fails, or the cut series raise PrecisionError,
+    ``validated`` falls back to full precision (``_relinearize``).  Under (c)
+    every series formed is the full one, coefficient by coefficient and tail
+    by tail.  Each coefficient of ``scale`` and ``compose`` is a sum of
+    products (``_core``'s closed form) whose terms carry a unit coefficient
+    of E_i or L_lead and a unit built from lambda_i, with k(inner) <=
+    k(lambda_i).  A product keeps the lesser k, here the inner one on both
+    sides, so every term has the bound v + k(inner) on both sides, and its
+    digits below it agree because the cut coefficient's do.  Exact zeros
+    are exact zeros on both sides.  The envelopes and tails read valuations,
+    which check (a) made equal.
     """
+    read = {i for f in validated.spec.variety for i in f.variables}
+    if validated._cut:
+        try:
+            if _series_settle(validated, lead, lambdas, read):
+                return _pullbacks(validated, lead, lambdas, read)
+        except PrecisionError:
+            pass
+        _relinearize(validated)
+    return _pullbacks(validated, lead, lambdas, read)
+
+
+def _pullbacks(validated: ValidatedSystem, lead: int, lambdas: list, read: set) -> list:
+    """``build_F``'s series, from the linearizations ``validated`` holds."""
     spec = validated.spec
     ctx = spec.ctx
     t = spec.truncation
     log_lead = validated.linearizations[lead].log_series
-    read = {i for f in spec.variety for i in f.variables}
     coords = []
     for i, lin in enumerate(validated.linearizations):
         alpha = lin.fixed_point

@@ -19,6 +19,14 @@ hands them to both recursions.  L's recursion reads [X^n] G^m from a table
 whose row m is H^m = (G/X)^m through degree T - m: with G's constant term
 taken as exactly zero, [X^n] G^m = [X^(n-m)] H^m, and the exact zeros of G^m
 below degree m are never formed.
+
+``linearize`` computes E and L from every digit of G: it is the reference,
+the fallback and the path of ``padicdyn linearize``.  On the check path,
+``checker.validate`` builds them instead with ``_linearize_cut`` from G with
+every coefficient cut to 4T digits when 16T <= N (the report reads about 2T
+of them); the multiplier, G, rho and G's part of the isometry radius stay at
+full precision, and the checker proves every reported value unchanged or
+falls back to ``linearize``.
 """
 
 from __future__ import annotations
@@ -283,13 +291,45 @@ def isometry_radius(exp_series: TruncatedSeries, G: Polynomial) -> int:
 
 def linearize(P: Polynomial, alpha: PadicNumber, order: int) -> Linearization:
     """Build the full linearization of P at the attracting fixed point alpha."""
+    return _linearize_cut(P, alpha, order, None)
+
+
+def _cut(G: Polynomial, digits: int) -> Polynomial:
+    """G with every unit coefficient cut to its first ``digits`` digits.
+
+    A coefficient of at most ``digits`` digits, and a zero, is kept as it is.
+    A triple stands for a set of values (the ``direct_orbit_scan`` docstring),
+    and a cut unit for a superset of the full one's, so the cut G contains G
+    coefficient by coefficient.
+    """
+    pd = G.ctx.prime**digits
+    return Polynomial(G.ctx, [
+        c if c._k <= digits else PadicNumber(G.ctx, c._v, c._u % pd, digits)
+        for c in G.coefficients
+    ])
+
+
+def _linearize_cut(P: Polynomial, alpha: PadicNumber, order: int, digits) -> Linearization:
+    """``linearize``, with E and L built from G cut to ``digits`` digits.
+
+    With ``digits`` None nothing is cut: this is ``linearize``.  Otherwise
+    only the two recursions and their divisors read the cut G (``_cut``).
+    The multiplier, G, rho and G's part of the isometry radius are computed
+    at full precision.  Every refusal is ``linearize``'s: the cut keeps every
+    valuation and every zero, and the refusals read nothing else.  Every
+    value the recursions form stands over the full one (the
+    ``direct_orbit_scan`` docstring: larger operand sets give larger result
+    sets), which is what ``checker.validate`` reads when it checks a cut
+    linearization.
+    """
     if order < 1:  # the isometry radius divides by the order
         raise ValidationError(f"truncation order must be >= 1, got {order}")
     G = conjugate_to_origin(P, alpha)
     a1 = _check_multiplier(G)
-    divide = _koenigs_divisor(a1, order)
-    exp_series = koenigs_coefficients(G, order, divide)
-    log_series = inverse_koenigs_coefficients(G, order, divide)
+    H = G if digits is None else _cut(G, digits)
+    divide = _koenigs_divisor(H.coefficients[1], order)
+    exp_series = koenigs_coefficients(H, order, divide)
+    log_series = inverse_koenigs_coefficients(H, order, divide)
     rho = a1.valuation + _integrality_defect(G) + 2
     # m0 >= rho: E's tail slope is -(rho - 1), so the tail alone needs m0 >= rho
     m0 = isometry_radius(exp_series, G)

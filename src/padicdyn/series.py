@@ -301,22 +301,26 @@ class TruncatedSeries:
 
     # -- analytic operations ------------------------------------------------------
 
-    def evaluate(self, z: PadicNumber) -> PadicNumber:
-        """Sum of the computed terms with a certified absolute error valuation.
+    def _error_valuation(self, vz: int):
+        """The certified error valuation of ``evaluate`` at a z with v(z) >= vz:
+        None for a polynomial.
 
         The tail bound must dominate at v(z) (slope + v(z) > 0), otherwise the
         truncation is insufficient and a PrecisionError asks for a larger T.
         """
-        vz = z.valuation_lower_bound
         if self.tail.is_infinite:
-            err = None
-        else:
-            s = self.tail.slope + vz
-            if s <= 0:
-                raise PrecisionError(
-                    f"tail not dominated at v(z) >= {vz}: raise the truncation order"
-                )
-            err = math.ceil(s * (self._t + 1) + self.tail.offset)
+            return None
+        s = self.tail.slope + vz
+        if s <= 0:
+            raise PrecisionError(
+                f"tail not dominated at v(z) >= {vz}: raise the truncation order"
+            )
+        return math.ceil(s * (self._t + 1) + self.tail.offset)
+
+    def evaluate(self, z: PadicNumber) -> PadicNumber:
+        """Sum of the computed terms with a certified absolute error valuation
+        (``_error_valuation``), to which the sum is capped."""
+        err = self._error_valuation(z.valuation_lower_bound)
         t = self._t
         below = zip(reversed(self._v[:t]), reversed(self._u[:t]), reversed(self._k[:t]))
         v, u, k = _core.horner(

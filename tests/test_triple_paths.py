@@ -709,10 +709,12 @@ def test_cut_copies_do_not_hide_a_hit_between_coordinates():
 
 
 @pytest.mark.parametrize("v,cut", [(2**38, True), (2**39, False)])
-def test_cut_copies_need_the_coordinate_ceiling(v, cut, monkeypatch):
-    """X1 - X2 from 2^v and 3 * 2^v under X^2 + 2X at N = 100: both settle at
-    n = 0 and tie at every step.  At v = 2^39, C + D c = 101 + 2 (2^39 + 100
-    + 10) reaches INF_BOUND, so the coordinates are stepped at full width."""
+def test_cut_copies_follow_the_settle_rule(v, cut, monkeypatch):
+    """X1 - X2 from 2^v and 3 * 2^v under X^2 + 2X at N = 100, tied at every
+    step.  At v = 2^38 both settle at n = 0 and each tie is decided from cut
+    copies.  At v = 2^39, C + D c = 101 + 2 (2^39 + 100 + 10) reaches
+    INF_BOUND, so the settle rule leaves both coordinates eager: they are
+    stepped at full width every step."""
     ctx = PadicContext(2, 100)
     P = Polynomial(ctx, [0, 2, 1])
     f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
