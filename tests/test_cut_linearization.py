@@ -218,9 +218,10 @@ def test_without_check_b_deep_reports_fewer_digits(monkeypatch):
     assert analyze(spec).lambdas[1].relative_precision == 41
 
 
-# maps X^3 - 5X^2 + 3X and 2X^4 + 5X^3 - 4X^2 + 3X at p = 3 from 486 and 729:
-# both pass (a) and the logs pass (b), but a unit coefficient of a series that
-# build_F composes carries fewer digits than its lambda
+# maps X^3 - 5X^2 + 3X and 2X^4 + 5X^3 - 4X^2 + 3X at p = 3 from 486 and 729
+# at T = 8, N = 512: both pass (a) and the logs pass (b), and lambda_2 carries
+# 32 digits, but partial cancellation in the cut recursions leaves E_2 with
+# coefficients of 26 and 31 digits and L_1 with one of 31
 CHECK_C = json.dumps({
     "prime": 3, "precision": 512, "truncation": 8, "max_iterations": 50,
     "polynomials": [["0", "3", "-5", "1"], ["0", "3", "-4", "5", "2"]],
@@ -231,6 +232,8 @@ CHECK_C = json.dumps({
 
 
 def test_check_c_falls_back_when_a_composed_series_has_too_few_digits(monkeypatch):
+    """(c) fails after (b) held, so ``build_F`` relinearizes both maps and
+    returns the reference's F series."""
     spec = load_problem(CHECK_C)
     validated = validate(spec)
     assert validated._cut == (0, 1)
