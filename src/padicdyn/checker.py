@@ -81,13 +81,11 @@ class ValidatedSystem:
     """A SystemSpec with constructed linearizations and the orbit advanced
     until every coordinate sits inside its certified isometry ball.
 
-    ``_cut`` holds the coordinates whose E and L ``validate`` built from a cut
-    copy of G (``_linearization_digits``); it is empty for every other system
-    and after ``_relinearize``.
+    ``linearizations`` are final: ``compute_lambdas`` and ``build_F`` read
+    them as ``validate`` left them (cut or full, ``validate``).
     """
 
-    __slots__ = ("spec", "linearizations", "multiplier", "n0", "advanced_start", "degenerate",
-                 "_cut")
+    __slots__ = ("spec", "linearizations", "multiplier", "n0", "advanced_start", "degenerate")
 
     def __init__(self, spec: SystemSpec, linearizations: list, multiplier: PadicNumber,
                  n0: int, advanced_start: list, degenerate: bool):
@@ -97,7 +95,6 @@ class ValidatedSystem:
         self.n0 = n0
         self.advanced_start = advanced_start
         self.degenerate = degenerate
-        self._cut = ()
 
 
 class GeneratorReport(namedtuple(
@@ -175,36 +172,17 @@ def _units_or_exact_zeros(series: TruncatedSeries) -> bool:
 
 
 def _linearize_checked(P, alpha: PadicNumber, order: int, digits: int):
-    """(Linearization, whether it is cut) for one distinct map.
+    """One distinct map's linearization.
 
     Below the working precision N, E and L are built from G cut to
     ``digits`` digits, and kept when check (a) holds for both; otherwise,
-    and when ``digits`` is N, the map is linearized at full precision.
+    and when ``digits`` is N, the map is linearized by ``linearize``.
     """
     if digits < P.ctx.working_precision:
         lin = _linearize_cut(P, alpha, order, digits)
         if _units_or_exact_zeros(lin.exp_series) and _units_or_exact_zeros(lin.log_series):
-            return lin, True
-    return linearize(P, alpha, order), False
-
-
-def _relinearize(validated: ValidatedSystem):
-    """The fallback: replace each cut linearization of ``validated`` by
-    ``linearize``'s, keeping shared linearizations shared, and empty ``_cut``.
-
-    It changes nothing that ``validate`` derived from the cut ones: check
-    (a) made their valuations, and with them the isometry radii, n0 and the
-    advanced start, those of the full series.
-    """
-    lins = list(validated.linearizations)
-    full = {}
-    for i in validated._cut:
-        lin = lins[i]
-        if id(lin) not in full:
-            full[id(lin)] = linearize(lin.base_poly, lin.fixed_point, validated.spec.truncation)
-        lins[i] = full[id(lin)]
-    validated.linearizations = lins
-    validated._cut = ()
+            return lin
+    return linearize(P, alpha, order)
 
 
 def validate(spec: SystemSpec) -> ValidatedSystem:
@@ -226,10 +204,12 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
     exact zero.  A unit's set holds only units of its valuation, and an exact
     zero's only 0, so every valuation is the full series': the envelopes, the
     tails, the isometry radii, n0 and the advanced start are unchanged.  A
-    map that fails (a) is linearized at full precision.  ``compute_lambdas``
-    and ``build_F`` check the rest and fall back to full precision
-    (``_relinearize``) where a check fails.  So ``linearizations`` holds
-    series of at most 4T digits for every map that passed (a).
+    map that fails (a) is linearized at full precision.  Checks (b) and (c),
+    one check on the logs (``_cut_settles``), prove the lambdas and every F
+    series those of the full linearizations.  When they fail, or raise
+    PrecisionError, the system is validated again at full precision, which
+    is the reference.  This is the one place that decides: the linearizations
+    returned are those every later stage reads.
     """
     if spec.truncation < 1:
         raise ValidationError(f"truncation must be >= 1, got {spec.truncation}")
@@ -256,8 +236,21 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
     if not spec.variety:
         raise ValidationError("variety must have at least one generator")
     digits = _linearization_digits(spec)
+    validated = _validate_at(spec, digits)
+    if digits < spec.ctx.working_precision and not validated.degenerate:
+        try:
+            settles = _cut_settles(validated)
+        except PrecisionError:
+            settles = False
+        if not settles:
+            return _validate_at(spec, spec.ctx.working_precision)
+    return validated
+
+
+def _validate_at(spec: SystemSpec, digits: int) -> ValidatedSystem:
+    """``validate`` past its input checks, with E and L built from G cut to
+    ``digits`` digits (``_linearize_checked``)."""
     lins = []
-    cut = []
     distinct = {}
     for i, (P, alpha) in enumerate(zip(spec.maps, spec.fixed_points)):
         if P.ctx != spec.ctx:
@@ -266,15 +259,13 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
             tuple((c._v, c._u, c._k) for c in P.coefficients),
             (alpha.ctx, alpha._v, alpha._u, alpha._k),
         )
-        entry = distinct.get(key)
-        if entry is None:
+        lin = distinct.get(key)
+        if lin is None:
             try:
-                entry = distinct[key] = _linearize_checked(P, alpha, spec.truncation, digits)
+                lin = distinct[key] = _linearize_checked(P, alpha, spec.truncation, digits)
             except (ValidationError, PrecisionError) as exc:
                 raise ValidationError(f"coordinate {i + 1}: {exc}") from exc
-        lins.append(entry[0])
-        if entry[1]:
-            cut.append(i)
+        lins.append(lin)
     a1 = lins[0].multiplier
     for i, lin in enumerate(lins[1:], start=2):
         if not (lin.multiplier - a1).is_zero_to_precision:
@@ -285,9 +276,7 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
             )
     distances = [x - a for x, a in zip(spec.start, spec.fixed_points)]
     if all(d.is_zero_to_precision for d in distances):
-        validated = ValidatedSystem(spec, lins, a1, 0, list(spec.start), True)
-        validated._cut = tuple(cut)
-        return validated
+        return ValidatedSystem(spec, lins, a1, 0, list(spec.start), True)
     cur = list(spec.start)
     for n in range(spec.max_direct_iterations + 1):
         inside = True
@@ -301,13 +290,73 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
                     f"cannot certify ball membership at orbit index {n}: {exc}"
                 ) from exc
         if inside:
-            validated = ValidatedSystem(spec, lins, a1, n, cur, False)
-            validated._cut = tuple(cut)
-            return validated
+            return ValidatedSystem(spec, lins, a1, n, cur, False)
         cur = [P(z) for P, z in zip(spec.maps, cur)]
     raise ValidationError(
         "start point does not reach the certified isometry balls within"
         f" {spec.max_direct_iterations} steps"
+    )
+
+
+def _digits_at_least(series: TruncatedSeries, k: int) -> bool:
+    """Whether every unit coefficient of ``series`` carries at least k digits."""
+    return all(kk >= k for u, kk in zip(series._u, series._k) if u)
+
+
+def _cut_settles(validated: ValidatedSystem) -> bool:
+    """Checks (b) and (c): whether ``compute_lambdas`` and ``build_F`` give,
+    from the linearizations of ``validated``, the values the full ones give.
+
+    Check (b): every log L_i(z_i - alpha_i) that is not None is a unit, the
+    lead log's absolute precision is its certified error valuation err, and
+    no other log has fewer digits than the lead's k_lead.  Check (c): for
+    each coordinate i other than the lead that a generator reads and whose
+    log is not None, every unit coefficient of E_i has at least k_lead
+    digits, and when there is such an i, so has every unit coefficient of
+    L_lead.  Raises PrecisionError where a log does.
+
+    Proof for the lambdas.  A triple stands for a set, and each cut log
+    stands over the full one (``validate``).  ``TruncatedSeries.evaluate``
+    caps the lead log at err, which reads only the tail and v(z - alpha):
+    the full log has at least the cut log's absolute precision, so when the
+    cut one reaches err both are the same unit capped at err.  Every other
+    log is a unit of its full valuation (so the lead and every valuation are
+    unchanged) with at least k_lead digits on both sides, and ``tr_div``
+    keeps the lesser k, k_lead, whose digits agree.  So every lambda_i whose
+    log is not None is a unit of k_lead digits, on both sides, and lambda_i
+    is exactly 0 where the log is None.
+
+    Proof for F.  ``build_F`` composes E_i with L_lead scaled by lambda_i
+    exactly for the coordinates check (c) reads: the lead is substituted as
+    alpha + w and a lambda of 0 gives a constant.  Each coefficient of
+    ``scale`` and ``compose`` is a sum of products (``_core``'s closed form)
+    whose terms carry a unit coefficient of E_i or L_lead and a unit built
+    from lambda_i, with k(inner) <= k(lambda_i) = k_lead.  A product keeps
+    the lesser k, here the inner one on both sides, so every term has the
+    bound v + k(inner) on both sides, and its digits below it agree because
+    the cut coefficient's do.  Exact zeros are exact zeros on both sides.
+    The envelopes and tails read valuations, which check (a) made equal.
+    So every series ``build_F`` forms is the full one, coefficient by
+    coefficient and tail by tail.
+    """
+    logs = _logs(validated)
+    known = [(i, L) for i, L in enumerate(logs) if L is not None]
+    if not known:
+        return True  # compute_lambdas refuses the system before reading a log
+    if not all(L._u for _, L in known):
+        return False
+    lead, head = min(known, key=lambda entry: entry[1]._v)  # the first least, as compute_lambdas
+    lins = validated.linearizations
+    d = validated.advanced_start[lead] - lins[lead].fixed_point
+    k = head._k
+    if head._v + k != lins[lead].log_series._error_valuation(d.valuation_lower_bound):
+        return False
+    if any(L._k < k for _, L in known):
+        return False
+    read = {i for f in validated.spec.variety for i in f.variables}
+    composed = [i for i, _ in known if i != lead and i in read]
+    return all(_digits_at_least(lins[i].exp_series, k) for i in composed) and (
+        not composed or _digits_at_least(lins[lead].log_series, k)
     )
 
 
@@ -532,27 +581,18 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
 
 def _logs(validated: ValidatedSystem) -> list:
     """L_i(z_i - alpha_i) at the advanced start, None where z_i - alpha_i is
-    zero to precision."""
+    zero to precision: ``Linearization.log_of``, with its ball test read
+    from the difference formed once."""
     logs = []
     for z, lin in zip(validated.advanced_start, validated.linearizations):
         d = z - lin.fixed_point
-        logs.append(lin.log_of(z) if d.is_certified_nonzero else None)
+        if not d.is_certified_nonzero:
+            logs.append(None)
+        elif d.valuation < lin.isometry_radius_valuation:
+            raise ValidationError("argument outside the isometry ball")
+        else:
+            logs.append(lin.log_series.evaluate(d))
     return logs
-
-
-def _logs_settle(validated: ValidatedSystem, logs: list) -> bool:
-    """Check (b): every log is a unit, the lead log's absolute precision is
-    its certified error valuation, and no other log has fewer digits."""
-    known = [(i, L) for i, L in enumerate(logs) if L is not None]
-    if not known:
-        return True  # compute_lambdas refuses the system before reading a log
-    if not all(L._u for _, L in known):
-        return False
-    lead, head = min(known, key=lambda entry: entry[1]._v)  # the first least, as compute_lambdas
-    lin = validated.linearizations[lead]
-    d = validated.advanced_start[lead] - lin.fixed_point
-    err = lin.log_series._error_valuation(d.valuation_lower_bound)
-    return head._v + head._k == err and all(L._k >= head._k for _, L in known)
 
 
 def compute_lambdas(validated: ValidatedSystem):
@@ -561,34 +601,13 @@ def compute_lambdas(validated: ValidatedSystem):
     The lead coordinate maximizes |log(advanced start)| (minimizes the
     valuation; ties broken by original order), which forces v(lambda_i) >= 0
     for every other coordinate.  A coordinate sitting at its fixed point gets
-    lambda exactly 0.
-
-    When ``validate`` cut the linearizations, check (b) (``_logs_settle``)
-    runs on the logs before anything else reads them; when it fails, or
-    the cut logs raise PrecisionError, ``validated`` falls back to full
-    precision (``_relinearize``) and the logs are recomputed.  Under (b) the
-    lambdas are those of the full series, triple for triple.  A triple
-    stands for a set, and the cut log stands over the full one (``validate``).
-    ``TruncatedSeries.evaluate`` caps the lead log at its error valuation
-    err, which reads only the tail and v(z - alpha): the full log has at
-    least the cut log's absolute precision, so when the cut one reaches err
-    both are the same unit capped at err.  Every other log is a unit of its
-    full valuation (so the lead and every valuation are unchanged) with at
-    least k(lead) digits on both sides, and ``tr_div`` keeps the lesser k,
-    k(lead), whose digits agree.
+    lambda exactly 0.  When ``validate`` kept cut linearizations, check (b)
+    (``_cut_settles``) proved the lambdas those of the full ones.
     """
     if validated.degenerate:
         raise ValidationError("lambdas undefined for the degenerate one-point orbit")
     spec = validated.spec
-    if validated._cut:
-        try:
-            logs = _logs(validated)
-            if not _logs_settle(validated, logs):
-                _relinearize(validated)
-        except PrecisionError:
-            _relinearize(validated)
-    if not validated._cut:  # linearized at full precision, or fallen back
-        logs = _logs(validated)
+    logs = _logs(validated)
     lead = None
     best = None
     for i, L in enumerate(logs):
@@ -614,26 +633,6 @@ def compute_lambdas(validated: ValidatedSystem):
     return perm, lambdas
 
 
-def _digits_at_least(series: TruncatedSeries, k: int) -> bool:
-    """Whether every unit coefficient of ``series`` carries at least k digits."""
-    return all(kk >= k for u, kk in zip(series._u, series._k) if u)
-
-
-def _series_settle(validated: ValidatedSystem, lead: int, lambdas: list, read: set) -> bool:
-    """Check (c): E_i has at least k(lambda_i) digits in every unit coefficient
-    for each coordinate i that ``build_F`` composes, and L_lead at least the
-    greatest such k(lambda_i)."""
-    lins = validated.linearizations
-    need = 0
-    for i in read:
-        if i != lead and not lambdas[i].is_zero_to_precision:  # composed, as in _pullbacks
-            k = lambdas[i]._k
-            if not _digits_at_least(lins[i].exp_series, k):
-                return False
-            need = max(need, k)
-    return _digits_at_least(lins[lead].log_series, need)
-
-
 def build_F(validated: ValidatedSystem, lead: int, lambdas: list) -> list:
     """Pullback of every generator of the variety, in order, to a series in
     w = u - alpha_lead:
@@ -645,38 +644,14 @@ def build_F(validated: ValidatedSystem, lead: int, lambdas: list) -> list:
     coordinate series depend only on the orbit, so they are built once, and
     only for the coordinates that some generator reads (a nonzero exponent):
     ``None`` stands in for every other one, which ``evaluate_series`` never
-    reads.
-
-    When ``validate`` cut the linearizations, check (c) (``_series_settle``)
-    runs first; when it fails, or the cut series raise PrecisionError,
-    ``validated`` falls back to full precision (``_relinearize``).  Under (c)
-    every series formed is the full one, coefficient by coefficient and tail
-    by tail.  Each coefficient of ``scale`` and ``compose`` is a sum of
-    products (``_core``'s closed form) whose terms carry a unit coefficient
-    of E_i or L_lead and a unit built from lambda_i, with k(inner) <=
-    k(lambda_i).  A product keeps the lesser k, here the inner one on both
-    sides, so every term has the bound v + k(inner) on both sides, and its
-    digits below it agree because the cut coefficient's do.  Exact zeros
-    are exact zeros on both sides.  The envelopes and tails read valuations,
-    which check (a) made equal.
+    reads.  When ``validate`` kept cut linearizations, check (c)
+    (``_cut_settles``) proved every series formed here the full one.
     """
-    read = {i for f in validated.spec.variety for i in f.variables}
-    if validated._cut:
-        try:
-            if _series_settle(validated, lead, lambdas, read):
-                return _pullbacks(validated, lead, lambdas, read)
-        except PrecisionError:
-            pass
-        _relinearize(validated)
-    return _pullbacks(validated, lead, lambdas, read)
-
-
-def _pullbacks(validated: ValidatedSystem, lead: int, lambdas: list, read: set) -> list:
-    """``build_F``'s series, from the linearizations ``validated`` holds."""
     spec = validated.spec
     ctx = spec.ctx
     t = spec.truncation
     log_lead = validated.linearizations[lead].log_series
+    read = {i for f in spec.variety for i in f.variables}
     coords = []
     for i, lin in enumerate(validated.linearizations):
         alpha = lin.fixed_point

@@ -291,7 +291,7 @@ def isometry_radius(exp_series: TruncatedSeries, G: Polynomial) -> int:
 
 def linearize(P: Polynomial, alpha: PadicNumber, order: int) -> Linearization:
     """Build the full linearization of P at the attracting fixed point alpha."""
-    return _linearize_cut(P, alpha, order, None)
+    return _linearize_cut(P, alpha, order, P.ctx.working_precision)
 
 
 def _cut(G: Polynomial, digits: int) -> Polynomial:
@@ -309,11 +309,12 @@ def _cut(G: Polynomial, digits: int) -> Polynomial:
     ])
 
 
-def _linearize_cut(P: Polynomial, alpha: PadicNumber, order: int, digits) -> Linearization:
+def _linearize_cut(P: Polynomial, alpha: PadicNumber, order: int, digits: int) -> Linearization:
     """``linearize``, with E and L built from G cut to ``digits`` digits.
 
-    With ``digits`` None nothing is cut: this is ``linearize``.  Otherwise
-    only the two recursions and their divisors read the cut G (``_cut``).
+    At the working precision N nothing is cut (``_cut`` keeps every
+    coefficient of at most N digits): this is ``linearize``.  Only the two
+    recursions and their divisors read the cut G.
     The multiplier, G, rho and G's part of the isometry radius are computed
     at full precision.  Every refusal is ``linearize``'s: the cut keeps every
     valuation and every zero, and the refusals read nothing else.  Every
@@ -326,7 +327,7 @@ def _linearize_cut(P: Polynomial, alpha: PadicNumber, order: int, digits) -> Lin
         raise ValidationError(f"truncation order must be >= 1, got {order}")
     G = conjugate_to_origin(P, alpha)
     a1 = _check_multiplier(G)
-    H = G if digits is None else _cut(G, digits)
+    H = _cut(G, digits)
     divide = _koenigs_divisor(H.coefficients[1], order)
     exp_series = koenigs_coefficients(H, order, divide)
     log_series = inverse_koenigs_coefficients(H, order, divide)

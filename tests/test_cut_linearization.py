@@ -1,12 +1,14 @@
 """The check path's cut linearization against the full-precision reference.
 
 When 16T <= N, ``validate`` builds E and L from G cut to 4T digits
-(``checker._linearization_digits``).  Check (a) in ``validate``, (b) in
-``compute_lambdas`` and (c) in ``build_F`` fall back to full precision where
-they fail.  The reference is the same check with the cut off: the private
-digit rule monkeypatched to N, so every map is linearized by ``linearize``.
-Every rendered report must be the reference's byte for byte, and each
-check must fire on some document with a fallback that reproduces it.
+(``checker._linearization_digits``).  Check (a) runs per map; checks (b) and
+(c) are one check on the logs (``checker._cut_settles``), and when it fails
+``validate`` returns the system validated again at full precision.  The
+reference is the same check with the cut off: the private digit rule
+monkeypatched to N, so every map is linearized by ``linearize``.  Every
+rendered report must be the reference's byte for byte, each clause of the
+checks must fire on some document or constructed series, and no stage after
+``validate`` may change the linearizations it returned.
 
 The direct scan's collapse test, which decides a unit z against a unit alpha
 of the same valuation by one sum instead of ``tr_add``, is checked at the end.
@@ -27,6 +29,7 @@ from padicdyn import (
     PrecisionError,
     Polynomial,
     SystemSpec,
+    TruncatedSeries,
     analyze,
     build_F,
     compute_lambdas,
@@ -35,7 +38,8 @@ from padicdyn import (
     validate,
 )
 from padicdyn import _core, checker
-from padicdyn.linearize import _cut
+from padicdyn.checker import ValidatedSystem
+from padicdyn.linearize import Linearization, _cut
 from padicdyn.problemfile import load_problem, render_report
 
 from corpus import build_corpus
@@ -85,8 +89,22 @@ def assert_full(lin, spec):
     assert lin.convergence_radius_valuation == ref.convergence_radius_valuation
 
 
+def is_cut(lin, spec):
+    """Whether every coefficient of E and L above degree 1 has at most 4T digits."""
+    return max(lin.exp_series._k[2:] + lin.log_series._k[2:], default=0) <= 4 * spec.truncation
+
+
 def document(name):
     return (DATA / name).read_text(encoding="utf-8")
+
+
+def reference_pullbacks(text, monkeypatch):
+    """The lambdas and F series of the check with the cut off."""
+    with monkeypatch.context() as m:
+        m.setattr(checker, "_linearization_digits", full_digits)
+        ref = validate(load_problem(text))
+        perm, lambdas = compute_lambdas(ref)
+        return perm, lambdas, build_F(ref, perm[0], lambdas)
 
 
 # -- the gate --------------------------------------------------------------
@@ -98,11 +116,25 @@ def test_the_digit_rule_cuts_to_4t_only_when_16t_fits(t, n, digits):
     assert checker._linearization_digits(spec) == digits
 
 
-def test_corpus_mixed_takes_the_full_path():
-    """N = 128 and T >= 16 on every slot: nothing is cut."""
+def test_corpus_mixed_takes_the_full_path(monkeypatch):
+    """N = 128 and T >= 16 on every slot: nothing is cut, and each distinct
+    map is linearized once, by ``linearize``."""
+    calls = []
+    full = checker.linearize
+
+    def counted(*args):
+        calls.append(args)
+        return full(*args)
+
+    def refuse(*args):
+        raise AssertionError("cut linearization on the full path")
+
+    monkeypatch.setattr(checker, "linearize", counted)
+    monkeypatch.setattr(checker, "_linearize_cut", refuse)
     for inst in workloads.generate("corpus_mixed", 0):
+        del calls[:]
         validated = validate(load_problem(inst.problem_json()))
-        assert validated._cut == ()
+        assert len(calls) == len({id(lin) for lin in validated.linearizations})
 
 
 def test_the_cut_keeps_every_valuation_and_cuts_units_only():
@@ -122,7 +154,8 @@ def test_scan_long_reports_match_reference(seed, monkeypatch):
     cut_any = False
     for inst in workloads.generate("scan_long", seed):
         text = inst.problem_json()
-        cut_any = cut_any or bool(validate(load_problem(text))._cut)
+        spec = load_problem(text)
+        cut_any = cut_any or any(is_cut(lin, spec) for lin in validate(spec).linearizations)
         assert_matches_reference(text, monkeypatch)
     assert cut_any
 
@@ -132,7 +165,8 @@ def test_corpus_reports_match_reference_at_t8_n512(monkeypatch):
     cut = 0
     for inst in instances:
         text = inst.problem_json(512)
-        cut += bool(validate(load_problem(text))._cut)
+        spec = load_problem(text)
+        cut += any(is_cut(lin, spec) for lin in validate(spec).linearizations)
         assert_matches_reference(text, monkeypatch)
     assert cut >= 40
 
@@ -168,7 +202,7 @@ def test_hypothesis_reports_match_reference(text):
         assert_matches_reference(text, monkeypatch)
 
 
-# -- each check fires, and its fallback is the reference -------------------------
+# -- each check fires, and validate returns the reference's linearizations --------
 
 
 def test_check_a_linearizes_a_vanishing_coefficient_at_full_precision(monkeypatch):
@@ -177,118 +211,125 @@ def test_check_a_linearizes_a_vanishing_coefficient_at_full_precision(monkeypatc
     X^2 + 3X keeps its cut series."""
     text = document("l3.json")
     spec = load_problem(text)
-    validated = validate(spec)
-    assert validated._cut == (1,)
-    first, second = validated.linearizations
+    first, second = validate(spec).linearizations
     assert not checker._units_or_exact_zeros(
         checker._linearize_cut(first.base_poly, first.fixed_point, 8, 32).log_series)
     assert_full(first, spec)
     # c_1 = l_1 = 1 with N digits; every higher coefficient has at most 4T
-    assert max(second.exp_series._k[2:]) <= 32 and max(second.log_series._k[2:]) <= 32
+    assert is_cut(second, spec)
     assert_matches_reference(text, monkeypatch)
 
 
 def test_check_b_falls_back_when_the_lead_log_stops_short(monkeypatch):
     """deep.json: v(d_lead) = 10, so the lead log carries 72 digits at T = 8,
-    more than 4T digits of L reach.  The fallback relinearizes both maps and
-    lambda_2 keeps its 72 digits."""
+    more than 4T digits of L reach: the cut lead log stops at 41.  ``validate``
+    returns both maps linearized at full precision, and lambda_2 keeps its 72
+    digits."""
     text = document("deep.json")
     spec = load_problem(text)
+    cut = checker._validate_at(spec, 32)
+    assert all(is_cut(lin, spec) for lin in cut.linearizations)
+    assert checker._logs(cut)[0].relative_precision == 41
+    assert not checker._cut_settles(cut)
     validated = validate(spec)
-    assert validated._cut == (0, 1)
-    assert not checker._logs_settle(validated, checker._logs(validated))
-    perm, lambdas = compute_lambdas(validated)
-    assert validated._cut == ()
     for lin in validated.linearizations:
         assert_full(lin, spec)
+    perm, lambdas = compute_lambdas(validated)
     assert lambdas[1].relative_precision == 72
-    with monkeypatch.context() as m:
-        m.setattr(checker, "_linearization_digits", full_digits)
-        reference = compute_lambdas(validate(load_problem(text)))
+    reference = reference_pullbacks(text, monkeypatch)
     assert perm == reference[0]
     assert [triple(x) for x in lambdas] == [triple(x) for x in reference[1]]
     assert_matches_reference(text, monkeypatch)
+    # a generator that reads only the lead composes nothing, so (c) holds and
+    # only the lead log's error valuation sees the short lambda_2
+    lead_only = with_generator("deep.json", [([1, 0], "1"), ([0, 0], "-3")])
+    spec = load_problem(lead_only)
+    assert not checker._cut_settles(checker._validate_at(spec, 32))
+    assert not any(is_cut(lin, spec) for lin in validate(spec).linearizations)
+    assert_matches_reference(lead_only, monkeypatch)
 
 
 def test_without_check_b_deep_reports_fewer_digits(monkeypatch):
-    """Why (b) is needed: with it forced to pass, lambda_2 of deep.json
-    prints 41 digits instead of 72."""
+    """Why (b) is needed: with the check forced to pass, lambda_2 of
+    deep.json prints 41 digits instead of 72."""
     spec = load_problem(document("deep.json"))
-    monkeypatch.setattr(checker, "_logs_settle", lambda validated, logs: True)
+    monkeypatch.setattr(checker, "_cut_settles", lambda validated: True)
     assert analyze(spec).lambdas[1].relative_precision == 41
 
 
-# maps X^3 - 5X^2 + 3X and 2X^4 + 5X^3 - 4X^2 + 3X at p = 3 from 486 and 729
-# at T = 8, N = 512: both pass (a) and the logs pass (b), and lambda_2 carries
-# 32 digits, but partial cancellation in the cut recursions leaves E_2 with
-# coefficients of 26 and 31 digits and L_1 with one of 31
-CHECK_C = json.dumps({
-    "prime": 3, "precision": 512, "truncation": 8, "max_iterations": 50,
-    "polynomials": [["0", "3", "-5", "1"], ["0", "3", "-4", "5", "2"]],
-    "fixed_points": ["0", "0"], "start": ["486", "729"],
-    "variety": [[{"exponents": [1, 0], "coefficient": "1"},
-                 {"exponents": [0, 1], "coefficient": "-1"}]],
-})
-
-
 def test_check_c_falls_back_when_a_composed_series_has_too_few_digits(monkeypatch):
-    """(c) fails after (b) held, so ``build_F`` relinearizes both maps and
-    returns the reference's F series."""
-    spec = load_problem(CHECK_C)
+    """check_c.json: maps X^3 - 5X^2 + 3X and 2X^4 + 5X^3 - 4X^2 + 3X at p = 3
+    from 486 and 729 at T = 8, N = 512.  Both pass (a) and the logs pass (b),
+    and lambda_2 would carry 32 digits, but partial cancellation in the cut
+    recursions leaves E_2 with coefficients of 26 and 31 digits and L_1 with
+    one of 31.  ``validate`` returns full linearizations, whose F series are
+    the reference's."""
+    text = document("check_c.json")
+    spec = load_problem(text)
+    cut = checker._validate_at(spec, 32)
+    assert [(L._v, L._k) for L in checker._logs(cut)] == [(5, 32), (6, 37)]
+    assert sorted(cut.linearizations[1].exp_series._k[2:])[:2] == [26, 31]
+    assert min(cut.linearizations[0].log_series._k[2:]) == 31
+    assert not checker._cut_settles(cut)
     validated = validate(spec)
-    assert validated._cut == (0, 1)
-    perm, lambdas = compute_lambdas(validated)
-    assert validated._cut == (0, 1)  # (b) held
-    assert not checker._series_settle(validated, perm[0], lambdas, {0, 1})
-    shared = build_F(validated, perm[0], lambdas)
-    assert validated._cut == ()
     for lin in validated.linearizations:
         assert_full(lin, spec)
-    with monkeypatch.context() as m:
-        m.setattr(checker, "_linearization_digits", full_digits)
-        ref = validate(load_problem(CHECK_C))
-        perm_ref, lambdas_ref = compute_lambdas(ref)
-        ref_F = build_F(ref, perm_ref[0], lambdas_ref)
-    assert [series_triples(F) for F in shared] == [series_triples(F) for F in ref_F]
-    assert_matches_reference(CHECK_C, monkeypatch)
+    perm, lambdas = compute_lambdas(validated)
+    Fs = build_F(validated, perm[0], lambdas)
+    ref_F = reference_pullbacks(text, monkeypatch)[2]
+    assert [series_triples(F) for F in Fs] == [series_triples(F) for F in ref_F]
+    assert_matches_reference(text, monkeypatch)
 
 
-def test_check_c_reads_only_composed_coordinates():
-    """(c) asks k(lambda_i) digits of E_i for each composed i and the greatest
-    of them of L_lead; a coordinate at lambda = 0 or unread asks nothing."""
-    validated = validate(load_problem(CHECK_C))
-    ctx = validated.spec.ctx
-    one, wide, narrow = ctx.one(), PadicNumber(ctx, 0, 1, 512), PadicNumber(ctx, 0, 1, 1)
-    assert max(validated.linearizations[1].exp_series._k[2:]) < 512
-    assert not checker._series_settle(validated, 0, [one, wide], {0, 1})
-    assert checker._series_settle(validated, 0, [one, wide], {0})
-    assert checker._series_settle(validated, 0, [one, ctx.zero()], {0, 1})
-    assert checker._series_settle(validated, 0, [one, narrow], {0, 1})
+def with_generator(name, terms):
+    """Document ``name`` with its one generator replaced by ``terms``, a list
+    of (exponents, coefficient)."""
+    doc = json.loads(document(name))
+    doc["variety"] = [[{"exponents": e, "coefficient": c} for e, c in terms]]
+    return json.dumps(doc)
+
+
+def test_check_c_reads_only_composed_coordinates(monkeypatch):
+    """(c) asks k_lead digits of E_i for each composed i, and of L_lead when
+    there is one.  With a generator that reads only the lead X1, or with X2
+    at its fixed point (lambda_2 = 0), nothing is composed, so check_c.json
+    keeps E_2 cut; a generator that reads X2 away from its fixed point
+    composes it, and the system falls back."""
+    lead_only = with_generator("check_c.json", [([1, 0], "1"), ([0, 0], "-3")])
+    at_alpha = json.loads(document("check_c.json"))
+    at_alpha["start"][1] = "0"
+    for text in (lead_only, json.dumps(at_alpha)):
+        spec = load_problem(text)
+        validated = validate(spec)
+        assert max(validated.linearizations[1].exp_series._k[2:]) == 32
+        assert all(is_cut(lin, spec) for lin in validated.linearizations)
+        assert_matches_reference(text, monkeypatch)
+    for terms in ([([0, 1], "1"), ([0, 0], "-3")], [([1, 0], "1"), ([0, 1], "-1")]):
+        text = with_generator("check_c.json", terms)
+        spec = load_problem(text)
+        assert max(validate(spec).linearizations[1].exp_series._k[2:]) == 512
+        assert_matches_reference(text, monkeypatch)
 
 
 def test_a_precision_error_on_the_cut_path_falls_back(monkeypatch):
-    """A PrecisionError from the cut series relinearizes and retries at full
-    precision: the F series are the reference's."""
-    spec = load_problem(document("l3.json"))
-    validated = validate(spec)
-    perm, lambdas = compute_lambdas(validated)
-    pullbacks = checker._pullbacks
+    """A PrecisionError from the cut path's logs makes ``validate`` return
+    the system at full precision: l3.json, whose X^2 + 3X otherwise stays cut."""
+    text = document("l3.json")
+    spec = load_problem(text)
+    assert is_cut(validate(spec).linearizations[1], spec)
+    logs = checker._logs
 
-    def refuse_cut(v, *args):
-        if v._cut:
+    def refuse_cut(validated):
+        if any(is_cut(lin, validated.spec) for lin in validated.linearizations):
             raise PrecisionError("refused on the cut path")
-        return pullbacks(v, *args)
+        return logs(validated)
 
-    monkeypatch.setattr(checker, "_pullbacks", refuse_cut)
-    Fs = build_F(validated, perm[0], lambdas)
-    assert validated._cut == ()
-    monkeypatch.undo()
-    with monkeypatch.context() as m:
-        m.setattr(checker, "_linearization_digits", full_digits)
-        ref = validate(load_problem(document("l3.json")))
-        perm_ref, lambdas_ref = compute_lambdas(ref)
-        ref_F = build_F(ref, perm_ref[0], lambdas_ref)
-    assert [series_triples(F) for F in Fs] == [series_triples(F) for F in ref_F]
+    monkeypatch.setattr(checker, "_logs", refuse_cut)
+    spec = load_problem(text)
+    validated = validate(spec)
+    for lin in validated.linearizations:
+        assert_full(lin, spec)
+    assert_matches_reference(text, monkeypatch)
 
 
 def test_the_fallback_keeps_shared_linearizations_shared():
@@ -296,13 +337,94 @@ def test_the_fallback_keeps_shared_linearizations_shared():
     coordinates still share one full linearization."""
     doc = json.loads(document("deep.json"))
     doc["polynomials"] = [["0", "3", "1"], ["0", "3", "1"]]
-    validated = validate(load_problem(json.dumps(doc)))
-    assert validated._cut == (0, 1)
+    spec = load_problem(json.dumps(doc))
+    assert not checker._cut_settles(checker._validate_at(spec, 32))
+    validated = validate(spec)
     assert validated.linearizations[0] is validated.linearizations[1]
-    compute_lambdas(validated)
-    assert validated._cut == ()
-    assert validated.linearizations[0] is validated.linearizations[1]
-    assert_full(validated.linearizations[0], validated.spec)
+    assert_full(validated.linearizations[0], spec)
+
+
+@pytest.mark.parametrize("name", ["deep.json", "l3.json", "check_c.json"])
+def test_later_stages_leave_the_linearizations_as_validate_returned_them(name):
+    spec = load_problem(document(name))
+    validated = validate(spec)
+    lins = validated.linearizations
+    each = list(lins)
+    perm, lambdas = compute_lambdas(validated)
+    build_F(validated, perm[0], lambdas)
+    analyze(spec)
+    assert validated.linearizations is lins
+    assert all(a is b for a, b in zip(validated.linearizations, each))
+
+
+def test_an_orbit_that_lands_on_its_fixed_points_is_refused_as_before(monkeypatch):
+    """X^2 + 3X maps -3 to 0 exactly: the start is not degenerate, but every
+    log at n0 = 1 is None, and the check leaves the refusal to
+    ``compute_lambdas``."""
+    text = with_generator("deep.json", [([1, 0], "1"), ([0, 1], "-1")])
+    doc = json.loads(text)
+    doc["polynomials"] = [["0", "3", "1"], ["0", "3", "1"]]
+    doc["start"] = ["-3", "-3"]
+    text = json.dumps(doc)
+    assert checker._cut_settles(checker._validate_at(load_problem(text), 32))
+    assert rendered(load_problem(text), monkeypatch, False) == (
+        "ValidationError: all coordinates are at their fixed points"
+    )
+    assert_matches_reference(text, monkeypatch)
+
+
+# -- each clause of the check on the logs, on constructed series -----------------
+
+
+def with_series(validated, i, exp_series=None, log_series=None):
+    """``validated`` with coordinate i's E or L replaced."""
+    lins = list(validated.linearizations)
+    lin = lins[i]
+    lins[i] = Linearization(
+        lin.base_poly, lin.fixed_point, lin.multiplier, lin.conjugate_poly,
+        exp_series or lin.exp_series, log_series or lin.log_series,
+        lin.convergence_radius_valuation, lin.isometry_radius_valuation,
+    )
+    return ValidatedSystem(validated.spec, lins, validated.multiplier, validated.n0,
+                           validated.advanced_start, validated.degenerate)
+
+
+def cut_above_degree_1(s, digits):
+    """``s`` with every unit coefficient above degree 1 cut to ``digits`` digits."""
+    p = s.ctx.prime
+    k = [kk if j < 2 or not u else min(kk, digits) for j, (u, kk) in enumerate(zip(s._u, s._k))]
+    return TruncatedSeries(s.ctx, s.order, list(s._v), [u % p**kk if u else 0 for u, kk in zip(s._u, k)],
+                           k, s.tail)
+
+
+def exact_zeros(s):
+    """A series of exact zeros with the tail of ``s``."""
+    n = s.order + 1
+    return TruncatedSeries(s.ctx, s.order, [_core.INF_BOUND] * n, [0] * n, [0] * n, s.tail)
+
+
+def test_each_clause_of_the_check_fails_alone():
+    """check_c.json at full precision passes the check.  Changing one piece
+    fails exactly one clause: a non-lead log with fewer digits than the lead
+    log, logs that are zeros (at the lead's error valuation, so no other
+    clause sees them), a composed E_i short of k_lead digits, or an L_lead
+    short of them.  The cut system passes once E_2 and L_1 are the full ones."""
+    spec = load_problem(document("check_c.json"))
+    full = validate(spec)
+    cut = checker._validate_at(spec, 32)
+    assert checker._cut_settles(full)
+    (full_1, full_2), (cut_1, cut_2) = full.linearizations, cut.linearizations
+    short_log = with_series(full, 1, log_series=cut_above_degree_1(full_2.log_series, 4))
+    assert checker._logs(short_log)[1].relative_precision < 32
+    assert not checker._cut_settles(short_log)
+    zero_logs = with_series(with_series(full, 0, log_series=exact_zeros(full_1.log_series)),
+                            1, log_series=exact_zeros(full_2.log_series))
+    assert [L._u for L in checker._logs(zero_logs)] == [0, 0]
+    assert not checker._cut_settles(zero_logs)
+    assert not checker._cut_settles(with_series(full, 1, exp_series=cut_2.exp_series))
+    assert not checker._cut_settles(with_series(cut, 1, exp_series=full_2.exp_series))
+    assert checker._cut_settles(
+        with_series(with_series(cut, 1, exp_series=full_2.exp_series), 0, log_series=full_1.log_series))
 
 
 # -- the collapse test ---------------------------------------------------------
