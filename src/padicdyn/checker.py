@@ -27,7 +27,7 @@ from collections import namedtuple
 from . import _core
 from .errors import PrecisionError, ValidationError
 from .padic import INF_BOUND, VALUATION_BOUND, PadicContext, PadicNumber
-from .dynamics import contraction_radius
+from .dynamics import DISCOVERY_PRIME_BOUND, contraction_radius
 from .linearize import _linearize_cut, linearize
 from .multipoly import TIE, UNIT
 from .series import TruncatedSeries
@@ -269,11 +269,7 @@ def _validate_at(spec: SystemSpec, digits: int) -> ValidatedSystem:
     a1 = lins[0].multiplier
     for i, lin in enumerate(lins[1:], start=2):
         if not (lin.multiplier - a1).is_zero_to_precision:
-            raise ValidationError(
-                "the fixed points must share one multiplier: coordinate"
-                f" {i} has v={lin.multiplier.valuation}, expected the"
-                f" multiplier of coordinate 1 (v={a1.valuation})"
-            )
+            raise ValidationError(_multiplier_refusal(i, lin.multiplier, a1))
     distances = [x - a for x, a in zip(spec.start, spec.fixed_points)]
     if all(d.is_zero_to_precision for d in distances):
         return ValidatedSystem(spec, lins, a1, 0, list(spec.start), True)
@@ -295,6 +291,50 @@ def _validate_at(spec: SystemSpec, digits: int) -> ValidatedSystem:
     raise ValidationError(
         "start point does not reach the certified isometry balls within"
         f" {spec.max_direct_iterations} steps"
+    )
+
+
+def _multiplier_refusal(i: int, ai: PadicNumber, a1: PadicNumber) -> str:
+    """Why coordinate i's multiplier ai is not a1, and what to do about it.
+
+    Both multipliers' leading digits, and when their valuations agree, the
+    ratio zeta = ai/a1's.  Every root of unity of Q_p has an order k dividing
+    p - 1 (2 at p = 2), read from zeta's leading digit: its multiplicative
+    order mod p at odd p <= DISCOVERY_PRIME_BOUND, and 2 at p = 2, where -1
+    is 1 mod p.  When zeta^k - 1 is zero to precision for that k > 1, the
+    k-th iterate of the system has the one multiplier a1^k.
+    """
+    def digits(x):
+        return ",".join(map(str, x.digits()))
+
+    p = a1.ctx.prime
+    text = (
+        f"the fixed points must share one multiplier: coordinate {i} has"
+        f" v={ai.valuation}, expected the multiplier of coordinate 1"
+        f" (v={a1.valuation}); leading base-{p} digits: a_{i} [{digits(ai)}],"
+        f" a_1 [{digits(a1)}]"
+    )
+    if ai.valuation != a1.valuation:
+        return text
+    zeta = ai / a1
+    text += f", zeta = a_{i}/a_1 [{digits(zeta)}]"
+    if p == 2:
+        k = 2
+    elif p <= DISCOVERY_PRIME_BOUND:
+        lead = x = zeta._u % p
+        k = 1
+        while x != 1:
+            x = x * lead % p
+            k += 1
+    else:
+        return text
+    if k == 1 or not (zeta**k - a1.ctx.one()).is_zero_to_precision:
+        return text
+    starts = "x and Phi(x)" if k == 2 else f"x, Phi(x), ..., Phi^{k - 1}(x)"
+    return (
+        f"{text}: zeta^{k} = 1 to precision, so zeta is a root of unity of order"
+        f" {k}; Phi^{k}, the system map applied {k} times, has the one multiplier"
+        f" a_1^{k}, so check Phi^{k} from each of {starts}"
     )
 
 

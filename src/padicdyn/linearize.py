@@ -20,13 +20,15 @@ whose row m is H^m = (G/X)^m through degree T - m: with G's constant term
 taken as exactly zero, [X^n] G^m = [X^(n-m)] H^m, and the exact zeros of G^m
 below degree m are never formed.
 
-``linearize`` computes E and L from every digit of G: it is the reference,
+``linearize`` is ``_linearize_cut`` at the working precision N, where nothing
+is cut: it computes E and L from every digit of G, and it is the reference,
 the fallback and the path of ``padicdyn linearize``.  On the check path,
-``checker.validate`` builds them instead with ``_linearize_cut`` from G with
-every coefficient cut to 4T digits when 16T <= N (the report reads about 2T
-of them); the multiplier, G, rho and G's part of the isometry radius stay at
-full precision, and the checker proves every reported value unchanged or
-falls back to ``linearize``.
+``checker.validate`` builds them with ``_linearize_cut`` from G with every
+coefficient cut to 4T digits when 16T <= N (the report reads about 2T of
+them); the multiplier, G, rho and G's part of the isometry radius stay at
+full precision.  ``validate`` alone decides, by check (a) per map and one
+check on the logs, whether the cut series stand or the system is validated
+again with ``linearize``.
 """
 
 from __future__ import annotations

@@ -83,6 +83,29 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "multiplier" in err
 
+    @pytest.mark.parametrize("p,a2,order", [
+        (3, "-3", 2),  # zeta = -1
+        (2, "-2", 2),  # -1 is 1 mod 2: the order is read as 2, not from the digit
+        (3, "9", None),  # the valuations differ: no ratio
+        (5, "10", None),  # zeta = 2 has order 4 mod 5, but 2^4 - 1 is not zero
+    ])
+    def test_multipliers_that_differ_by_a_root_of_unity_name_it(self, tmp_path, capsys, p, a2, order):
+        doc = dict(DIAG, prime=p, precision=256, truncation=8,
+                   polynomials=[["0", str(p), "1"], ["0", a2, "1"]], start=[str(p * p)] * 2)
+        assert main(["check", write(tmp_path, "zeta.json", doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        v2 = 2 if a2 == "9" else 1
+        assert (f"coordinate 2 has v={v2}, expected the multiplier of coordinate 1 (v=1);"
+                f" leading base-{p} digits: a_2 [") in captured.err
+        assert ("zeta = a_2/a_1 [" in captured.err) == (a2 != "9")
+        if order is None:
+            assert "root of unity" not in captured.err
+        else:
+            assert (f"zeta^{order} = 1 to precision, so zeta is a root of unity of order {order};"
+                    f" Phi^{order}, the system map applied {order} times, has the one multiplier"
+                    f" a_1^{order}, so check Phi^{order} from each of x and Phi(x)") in captured.err
+
     def test_malformed_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
