@@ -81,8 +81,8 @@ class ValidatedSystem:
     """A SystemSpec with constructed linearizations and the orbit advanced
     until every coordinate sits inside its certified isometry ball.
 
-    ``linearizations`` are final: ``compute_lambdas`` and ``build_F`` read
-    them as ``validate`` left them (cut or full, ``validate``).
+    ``validate`` alone decides whether ``linearizations`` are cut; no later
+    stage changes them.
     """
 
     __slots__ = ("spec", "linearizations", "multiplier", "n0", "advanced_start", "degenerate")
