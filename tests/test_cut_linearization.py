@@ -98,6 +98,14 @@ def document(name):
     return (DATA / name).read_text(encoding="utf-8")
 
 
+def with_generator(name, terms):
+    """Document ``name`` with its one generator replaced by ``terms``, a list
+    of (exponents, coefficient)."""
+    doc = json.loads(document(name))
+    doc["variety"] = [[{"exponents": e, "coefficient": c} for e, c in terms]]
+    return json.dumps(doc)
+
+
 def reference_pullbacks(text, monkeypatch):
     """The lambdas and F series of the check with the cut off."""
     with monkeypatch.context() as m:
@@ -279,14 +287,6 @@ def test_check_c_falls_back_when_a_composed_series_has_too_few_digits(monkeypatc
     ref_F = reference_pullbacks(text, monkeypatch)[2]
     assert [series_triples(F) for F in Fs] == [series_triples(F) for F in ref_F]
     assert_matches_reference(text, monkeypatch)
-
-
-def with_generator(name, terms):
-    """Document ``name`` with its one generator replaced by ``terms``, a list
-    of (exponents, coefficient)."""
-    doc = json.loads(document(name))
-    doc["variety"] = [[{"exponents": e, "coefficient": c} for e, c in terms]]
-    return json.dumps(doc)
 
 
 def test_check_c_reads_only_composed_coordinates(monkeypatch):
