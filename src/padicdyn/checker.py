@@ -171,18 +171,22 @@ def _units_or_exact_zeros(series: TruncatedSeries) -> bool:
     return all(u or v >= INF_BOUND for v, u in zip(series._v, series._u))
 
 
-def _linearize_checked(P, alpha: PadicNumber, order: int, digits: int):
+def _linearize_checked(P, alpha: PadicNumber, order: int, digits: int, full: dict, key):
     """One distinct map's linearization.
 
     Below the working precision N, E and L are built from G cut to
     ``digits`` digits, and kept when check (a) holds for both; otherwise,
-    and when ``digits`` is N, the map is linearized by ``linearize``.
+    and when ``digits`` is N, the map is linearized by ``linearize``, once:
+    ``full`` keeps those linearizations under ``key`` for a later pass.
     """
     if digits < P.ctx.working_precision:
         lin = _linearize_cut(P, alpha, order, digits)
         if _units_or_exact_zeros(lin.exp_series) and _units_or_exact_zeros(lin.log_series):
             return lin
-    return linearize(P, alpha, order)
+    lin = full.get(key)
+    if lin is None:
+        lin = full[key] = linearize(P, alpha, order)
+    return lin
 
 
 def validate(spec: SystemSpec) -> ValidatedSystem:
@@ -208,7 +212,8 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
     one check on the logs (``_cut_settles``), prove the lambdas and every F
     series those of the full linearizations.  When they fail, or raise
     PrecisionError, the system is validated again at full precision, which
-    is the reference.  This is the one place that decides: the linearizations
+    is the reference; a map that failed (a) keeps its full linearization
+    from the first pass.  This is the one place that decides: the linearizations
     returned are those every later stage reads.
     """
     if spec.truncation < 1:
@@ -236,20 +241,25 @@ def validate(spec: SystemSpec) -> ValidatedSystem:
     if not spec.variety:
         raise ValidationError("variety must have at least one generator")
     digits = _linearization_digits(spec)
-    validated = _validate_at(spec, digits)
+    full = {}
+    validated = _validate_at(spec, digits, full)
     if digits < spec.ctx.working_precision and not validated.degenerate:
         try:
             settles = _cut_settles(validated)
         except PrecisionError:
             settles = False
         if not settles:
-            return _validate_at(spec, spec.ctx.working_precision)
+            return _validate_at(spec, spec.ctx.working_precision, full)
     return validated
 
 
-def _validate_at(spec: SystemSpec, digits: int) -> ValidatedSystem:
+def _validate_at(spec: SystemSpec, digits: int, full: dict | None = None) -> ValidatedSystem:
     """``validate`` past its input checks, with E and L built from G cut to
-    ``digits`` digits (``_linearize_checked``)."""
+    ``digits`` digits (``_linearize_checked``).  ``full`` holds the maps
+    already linearized at full precision, keyed as ``distinct`` is: the
+    fallback pass reuses those of the first."""
+    if full is None:
+        full = {}
     lins = []
     distinct = {}
     for i, (P, alpha) in enumerate(zip(spec.maps, spec.fixed_points)):
@@ -262,7 +272,7 @@ def _validate_at(spec: SystemSpec, digits: int) -> ValidatedSystem:
         lin = distinct.get(key)
         if lin is None:
             try:
-                lin = distinct[key] = _linearize_checked(P, alpha, spec.truncation, digits)
+                lin = distinct[key] = _linearize_checked(P, alpha, spec.truncation, digits, full, key)
             except (ValidationError, PrecisionError) as exc:
                 raise ValidationError(f"coordinate {i + 1}: {exc}") from exc
         lins.append(lin)
@@ -400,6 +410,45 @@ def _cut_settles(validated: ValidatedSystem) -> bool:
     )
 
 
+def _fixed_point_hit(f, alphas):
+    """Lemma (A)'s data for f (``direct_orbit_scan``): (i, v(c1), w - v(c1))
+    when f is c1 X_i + c0 and e = c1 alpha_i + c0 is a unit of valuation w,
+    formed from values of absolute precision below INF_BOUND; else False."""
+    c0 = f.terms.get((0,) * f.nvars)
+    if c0 is None or len(f.terms) != 2:
+        return False
+    expo, c1 = next((e, c) for e, c in f.terms.items() if any(e))
+    if sum(expo) != 1:
+        return False
+    i = expo.index(1)
+    alpha = alphas[i]
+    if c1._v + c1._k + alpha._v + alpha._k >= INF_BOUND or c0._v + c0._k >= INF_BOUND:
+        return False
+    e = c1 * alpha + c0
+    return (i, c1._v, e._v - c1._v) if e._u else False
+
+
+def _tie_pair(f, maps):
+    """Lemma (B)'s data for f (``direct_orbit_scan``): (i, j, v(c_i), lams)
+    when f is c_i X_i + c_j X_j with i != j and c_i + c_j zero to precision;
+    else False.  ``lams`` lists (lambda_r, r - 1) for each r >= 1 where
+    b_{i,r} - b_{j,r}, of valuation or bound lambda_r, is not an exact zero."""
+    if len(f.terms) != 2:
+        return False
+    (ei, ci), (ej, cj) = f.terms.items()
+    if sum(ei) != 1 or sum(ej) != 1 or not (ci + cj).is_zero_to_precision:
+        return False
+    i, j = ei.index(1), ej.index(1)
+    bi, bj = maps[i].coefficients, maps[j].coefficients
+    zero = ci.ctx.zero()
+    lams = []
+    for r in range(1, max(len(bi), len(bj))):
+        d = (bi[r] if r < len(bi) else zero) - (bj[r] if r < len(bj) else zero)
+        if not d.is_exact_zero:
+            lams.append((d._v, r - 1))
+    return i, j, ci._v, lams
+
+
 def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> list:
     """Indices n <= n_max at which every generator vanishes to precision.
 
@@ -507,6 +556,78 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     z_n is a unit, not a zero triple; its terms lie below INF_BOUND, so
     evaluating would raise nothing.  The copies are never read as
     coordinates: every value read is unchanged.
+
+    Two more lemmas read the contraction near a fixed point and decide
+    generators that the tests above leave to evaluation.  Both rest on the
+    sets: ``tr_mul``, ``tr_neg`` and ``tr_add`` return exactly the set of
+    their results away from INF_BOUND, so ``eval_triples`` at a point where
+    each variable appears once, in degree 1, returns exactly the set of f's
+    values over the sets of the coefficients and coordinates, and that set
+    is a unit's when none of its values is 0.
+
+    (A) A hit at a fixed point.  Let f = c1 X_i + c0 with coordinate i eager,
+    and let e = c1 alpha_i + c0 be a unit of valuation w, formed once, the
+    first time the term test returns None for f, from values of absolute
+    precision below INF_BOUND, as c0's is (``_fixed_point_hit``).  At index n
+    the collapse test has formed z_n - alpha_i, nonzero, of valuation delta.
+    When v(c1) + v(z_n) + k(z_n) < INF_BOUND and v(c1) + delta != w, f does
+    not vanish at n.  Proof: for every c1', z, a and c0' in the sets of c1,
+    z_n, alpha_i and c0, c1' z + c0' = c1' (z - a) + (c1' a + c0').  Every
+    value in the set of z_n - alpha_i has valuation delta, so the first term
+    has valuation v(c1) + delta; the second lies in e's set, so it has
+    valuation w.  So the sum has valuation min(v(c1) + delta, w), and no value
+    ``eval_triples`` forms reaches INF_BOUND: f at z_n is a unit.  The test
+    reads delta without stripping the collapse test's residue s, taken
+    modulo p^k: delta = w - v(c1) exactly when p^h divides s and p^(h+1)
+    does not, h = w - v(c1) - v(z_n) < k, two reductions from the power
+    cache (the one sum's k is at most alpha_i's, and ``tr_add`` reads p^k
+    from the same cache).
+
+    (B) A pair of settled orbits.  Let f = c_i X_i + c_j X_j, i != j, with
+    c_i + c_j zero to precision, bounded at B, and let the lemma have settled
+    both coordinates with the same s = v(b1).  The scan has found f a unit of
+    valuation w at a ``TIE`` at n, at the cut copies or at the caught-up
+    values; V is the common valuation there and t = w - v(c_i) - V
+    (``_tie_pair`` builds the data at the first such unit).  Then f is a unit
+    of valuation w + (m - n) s at every index m <= n_max, and the scan never
+    tests or evaluates f again, when
+      * max(v(c_i), 0) + V + (n_max - n) s + N < INF_BOUND, so the term test
+        would return ``TIE`` at every such m and no value ``eval_triples``
+        forms there reaches INF_BOUND, and
+      * lambda_r + r V > V + t + s for every r >= 1, lambda_r the valuation
+        or bound of b_{i,r} - b_{j,r} (an exact zero imposes nothing).
+    Write abs(b) for the absolute precision of b (v + k, or the bound of a
+    zero).  A sum's is the lesser of its operands' (here below INF_BOUND, by
+    the settle rule), and its valuation or bound is at most that, so lambda_r <= abs(b_{q,r}) for q = i, j whenever
+    b_{q,r} is not an exact zero: the second condition also gives t <
+    k(b_{q,1}) and t < A_q(V) - s, A_q(V) the least abs(b_r) + (r - 1) V over
+    the coefficients b_r (r >= 2) of P_q that are not exact zeros.
+    Proof.  Let X_m, Y_m be the sets of z_{i,m} and z_{j,m}, V_m = V + (m - n) s,
+    and claim that v(x - y) = V_m + t for all x in X_m and y in Y_m.  At n:
+    the sets at which f was found a unit contain X_n and Y_n, and
+    c_i' (x - y) = (c_i' x + c_j' y) - (c_i' + c_j') y, where the first term
+    has valuation w and the second at least B + V.  B + V > w, because B is
+    the lesser of abs(c_i) and abs(c_j) (``tr_add`` cancels to it) and f's
+    value keeps at most the lesser absolute precision of its terms, at most
+    B + V.  So v(x - y) = V + t.  Then k(z_{q,n}) > t: the ball X_n, of
+    radius V + k(z_{i,n}), would otherwise hold two points whose differences
+    from y cancel below V + t.  Step 1: a settled z of valuation W keeps
+    k(P(z)) >= min(k(z), k(b1), A(W) - s).  In ``horner`` a product acc * z
+    has absolute precision at least min(abs(acc) + W, v(acc) + W + k(z)).
+    Above b1, every partial sum times the powers of z still to come has
+    valuation above s (the contraction radius), so the partial sum above b1,
+    times z, has absolute precision at least min(A(W), s + k(z) + 1); adding
+    b1, a unit of valuation s, and multiplying by z gives the bound.  A(W)
+    grows with W, so k(z_{q,m}) >= min(k(z_{q,n}), k(b_{q,1}), A_q(V) - s) > t
+    at every m >= n.  Step 2: for coefficient values from the sets,
+    P_i(x) - P_j(y) = (x - y)(b1 + b2 (x + y) + ...) + sum of
+    (b_{i,r} - b_{j,r}) y^r.  Above b1 the bracket's terms have valuation
+    above s, so the product has valuation V_m + t + s; each other term has at
+    least lambda_r + r V_m > V_m + t + s, as lambda_r + (r - 1) V_m grows
+    with m.  Step 3: X_{m+1} contains every such P_i(x) and is a ball of
+    radius V_{m+1} + k > V_{m+1} + t, and so is Y_{m+1}, so the claim holds at
+    m + 1.  Then each value of f at m, c_i' (x - y) + (c_i' + c_j') y, has
+    valuation v(c_i) + V_m + t = w + (m - n) s < B + V_m: f is a unit.
     """
     spec = validated.spec
     if n_max is None:
@@ -520,7 +641,8 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     # so z's unit decides with no call.  When z and -alpha are units of equal
     # valuation, tr_add's zero test is one sum modulo p^min(k_z, k_alpha), read
     # from the power cache (grown through the greatest k_alpha): the scan reads
-    # only whether the difference vanishes, not its stripped valuation.
+    # whether the difference vanishes and, for lemma (A), the sum itself, but
+    # never its stripped valuation.
     neg_alphas = [_core.tr_neg(p, a._v, a._u, a._k) for a in spec.fixed_points]
     pw = _core._grow(p, max(nk for _, _, nk in neg_alphas))
     # (m, v(b1), C, D) for a coordinate the lemma can settle, else None: C is
@@ -543,7 +665,32 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     slopes = [None] * len(cur)
     vals = [0] * len(cur)  # the read coordinates' valuations at n, for the term test
     low = [(-1, None)] * len(cur)  # low[i]: (j, the cut copy of coordinate i at index j)
+    # diffs[i]: (v, s, k) with z_n - alpha = p^v (s + O(p^k)) for eager i, s not stripped
+    diffs = [None] * len(cur)
     vanished = [False] * len(variety)  # whether generator g vanished when last evaluated
+    # the data of lemmas (A) and (B) for generator g, built when first needed:
+    # None before, False when g does not have the lemma's form
+    near, ties = [None] * len(variety), [None] * len(variety)
+    decided = [False] * len(variety)  # whether (B) found g a unit up to n_max
+    n_digits = spec.ctx.working_precision
+
+    def tie_settles(g, w):
+        """Lemma (B) for generator g, found a unit of valuation w at a TIE at n."""
+        pair = ties[g]
+        if pair is None:
+            pair = ties[g] = _tie_pair(spec.variety[g], spec.maps)
+        if not pair:
+            return False
+        i, j, vc, lams = pair
+        s, v = slopes[i], vals[i]
+        if s is None or slopes[j] != s:
+            return False
+        t = w - vc - v
+        return (
+            (vc if vc > 0 else 0) + v + (n_max - n) * s + n_digits < INF_BOUND
+            and all(lam + e * v > t + s for lam, e in lams)
+        )
+
     eager = list(range(len(cur)))
     hits = []
     for n in range(n_max + 1):
@@ -554,10 +701,14 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
             zv, zu, zk = cur[i]
             nv, nu, nk = neg_alphas[i]
             if zv == nv and zu and nu:
-                zu = (zu + nu) % pw[zk if zk < nk else nk]
+                dk = zk if zk < nk else nk
+                d = zv, (zu + nu) % pw[dk], dk
             elif nu or nv < INF_BOUND or zv + zk > INF_BOUND:
-                zu = _core.tr_add(p, zv, zu, zk, nv, nu, nk)[1]
-            if not zu:
+                d = _core.tr_add(p, zv, zu, zk, nv, nu, nk)
+            else:
+                d = cur[i]
+            diffs[i] = d
+            if not d[1]:
                 if n > 0:
                     exc = PrecisionError(
                         f"orbit coordinate {i + 1} collapsed below working precision"
@@ -575,6 +726,9 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
         if settled:
             eager = [i for i in eager if at[i] is None]
         for g, (f, term_test, reads) in enumerate(variety):
+            if decided[g]:
+                break  # lemma (B): f does not vanish at n
+            outcome = None
             for i in reads:
                 j = at[i]
                 if j is None:
@@ -589,6 +743,19 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
                 outcome = term_test(vals)
                 if outcome is UNIT:
                     break  # f does not vanish at n
+                if outcome is None and len(reads) == 1 and at[reads[0]] is None:
+                    hit = near[g]
+                    if hit is None:
+                        hit = near[g] = _fixed_point_hit(spec.variety[g], spec.fixed_points)
+                    if hit:
+                        i, vc1, h = hit
+                        zv, _, zk = cur[i]
+                        dv, du, dk = diffs[i]
+                        h -= dv  # lemma (A) applies unless v_p(du) = h
+                        if vc1 + zv + zk < INF_BOUND and (
+                            h < 0 or h >= dk or du % pw[h] or not du % pw[h + 1]
+                        ):
+                            break  # lemma (A): f does not vanish at n
                 behind = [i for i in reads if at[i] is not None and at[i] < n]
                 if outcome is TIE and behind and not vanished[g]:
                     point = list(cur)
@@ -602,7 +769,9 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
                             z = maps[i](*z)
                         point[i] = z
                         low[i] = (n, z)
-                    if f(point)[1]:
+                    value = f(point)
+                    if value[1]:
+                        decided[g] = tie_settles(g, value[0])
                         break  # a unit at the cut copies, so f does not vanish at n
             for i in reads:
                 j = at[i]
@@ -611,8 +780,10 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
                     for _ in range(n - j):
                         z = step(*z)
                     cur[i], at[i] = z, n
-            vanished[g] = not f(cur)[1]
+            value = f(cur)
+            vanished[g] = not value[1]
             if not vanished[g]:
+                decided[g] = outcome is TIE and tie_settles(g, value[0])
                 break
         else:
             hits.append(n)

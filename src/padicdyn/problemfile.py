@@ -106,13 +106,21 @@ def load_problem(text: str, path: str = "problem",
     """Parse a problem document into a SystemSpec (overrides win over fields).
 
     ``read_problem``, then, when the document has no ``fixed_points``,
-    ``discover_fixed_point`` for each map in order.
+    ``discover_fixed_point`` for each distinct map in order: maps whose
+    coefficients are equal triple for triple share one discovery, so an
+    error names the first polynomial that fails.
     """
     spec = read_problem(text, path, precision, truncation, max_iterations)
-    spec.fixed_points = [
-        discover_fixed_point(P, i) if alpha is None else alpha
-        for i, (P, alpha) in enumerate(zip(spec.maps, spec.fixed_points), start=1)
-    ]
+    found = {}
+    points = []
+    for i, (P, alpha) in enumerate(zip(spec.maps, spec.fixed_points), start=1):
+        if alpha is None:
+            key = tuple((c._v, c._u, c._k) for c in P.coefficients)
+            alpha = found.get(key)
+            if alpha is None:
+                alpha = found[key] = discover_fixed_point(P, i)
+        points.append(alpha)
+    spec.fixed_points = points
     return spec
 
 

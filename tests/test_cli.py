@@ -296,6 +296,39 @@ def test_document_errors_come_before_discovery_errors(tmp_path, capsys):
     assert err == f"error: {path}: variety must be a nonempty list of generators\n"
 
 
+def test_check_discovers_each_distinct_map_once(tmp_path, capsys, monkeypatch):
+    # three coordinates under X^2 + 3X share one discovery; with X^2/3 + 3X,
+    # which has no discoverable fixed point, in coordinates 2 and 3 the error
+    # names polynomial 2
+    calls = []
+    find = padicdyn.problemfile.find_fixed_points
+
+    def counted(P):
+        calls.append(P)
+        return find(P)
+
+    monkeypatch.setattr(padicdyn.problemfile, "find_fixed_points", counted)
+    doc = copy.deepcopy(DIAG)
+    del doc["fixed_points"]
+    doc["polynomials"] = [["0", "3", "1"]] * 3
+    doc["start"] = ["9", "9", "3"]
+    doc["variety"] = [[{"exponents": [1, 0, 0], "coefficient": "1"},
+                       {"exponents": [0, 1, 0], "coefficient": "-1"}]]
+    path = write(tmp_path, "same.json", doc)
+    assert main(["check", path]) == 1
+    assert len(calls) == 1
+    report = capsys.readouterr().out
+    explicit = dict(doc, fixed_points=["0", "0", "0"])
+    assert main(["check", write(tmp_path, "explicit.json", explicit)]) == 1
+    assert capsys.readouterr().out == report
+    doc["polynomials"] = [["0", "3", "1"]] + [["0", "3", "1/3"]] * 2
+    calls.clear()
+    assert main(["check", write(tmp_path, "third.json", doc)]) == 3
+    assert len(calls) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: polynomial 2: no attracting fixed point found in Z_p")
+
+
 @pytest.mark.parametrize("args", [
     [],
     ["check"],

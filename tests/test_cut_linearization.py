@@ -344,6 +344,32 @@ def test_the_fallback_keeps_shared_linearizations_shared():
     assert_full(validated.linearizations[0], spec)
 
 
+def test_the_fallback_reuses_the_linearizations_that_check_a_made(monkeypatch):
+    """l3.json from 2 * 3^10 and 5 * 3^11: X^3 + X^2 + 3X fails (a) and is
+    linearized at full precision; its log, the lead, carries 72 digits and
+    X^2 + 3X's cut log 42, so (b) fails.  The fallback pass reuses the first
+    map's linearization: ``linearize`` runs once per map, and the report is
+    the reference's."""
+    doc = json.loads(document("l3.json"))
+    doc["start"] = [str(2 * 3**10), str(5 * 3**11)]
+    text = json.dumps(doc)
+    calls = []
+    full = checker.linearize
+
+    def counted(P, alpha, order):
+        calls.append(P)
+        return full(P, alpha, order)
+
+    monkeypatch.setattr(checker, "linearize", counted)
+    spec = load_problem(text)
+    validated = validate(spec)
+    assert calls == spec.maps
+    for lin in validated.linearizations:
+        assert_full(lin, spec)
+    monkeypatch.undo()
+    assert_matches_reference(text, monkeypatch)
+
+
 @pytest.mark.parametrize("name", ["deep.json", "l3.json", "check_c.json"])
 def test_later_stages_leave_the_linearizations_as_validate_returned_them(name):
     spec = load_problem(document(name))

@@ -7,9 +7,11 @@ below as references.  On every input the new code must return exactly their
 triples, and the scan the same hits or the same failing index and message.
 Every triple the new code returns must also be canonical (a unit below
 ``p**k``), which a kernel that skipped a reduction would break.  The scan
-advances a settled coordinate only when a generator reads it, and decides a
-generator from the orbit valuations when one term has the least; the
-reference advances every coordinate and evaluates every generator every step.
+advances a settled coordinate only when a generator reads it, decides a
+generator from the orbit valuations when one term has the least, and decides
+hits near a unit fixed point and ties between settled orbits by its lemmas
+(A) and (B); the reference advances every coordinate and evaluates every
+generator every step.
 """
 
 import json
@@ -32,6 +34,7 @@ from padicdyn import (
     validate,
 )
 from padicdyn.checker import ValidatedSystem
+from padicdyn.dynamics import contraction_radius
 from padicdyn.multipoly import TIE, UNIT
 from padicdyn.padic import INF_BOUND
 from padicdyn.problemfile import load_problem
@@ -625,9 +628,10 @@ def test_scan_catches_up_a_settled_coordinate_only_at_a_tie(monkeypatch):
     assert reference_direct_orbit_scan(validated, 40) == [6]
 
 
-def test_scan_with_a_tie_at_every_step_evaluates_every_step(monkeypatch):
-    """X1 - X2 from 140 and 833 under X^2 + 7X: tied from n = 1 on, so both maps
-    run once a step and the generator is evaluated at every index but 0."""
+def test_scan_with_a_tie_at_every_step_evaluates_once(monkeypatch):
+    """X1 - X2 from 140 and 833 under X^2 + 7X: tied from n = 1 on.  At n = 1
+    X1 settles after one step, X2's copy is stepped once, and the generator is
+    evaluated there once; lemma (B) then decides every later index."""
     ctx = PadicContext(7, 64)
     maps = [Polynomial(ctx, [0, 7, 1]), Polynomial(ctx, [0, 7, 1])]
     f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
@@ -635,7 +639,7 @@ def test_scan_with_a_tie_at_every_step_evaluates_every_step(monkeypatch):
                             [ctx.integer(140), ctx.integer(833)], [f])
     counts = counted_runs(monkeypatch, maps)
     assert direct_orbit_scan(validated, 30) == []
-    assert counts() == ([30, 30], 30)
+    assert counts() == ([1, 1], 1)
 
 
 # -- the scan's cut copies -----------------------------------------------------
@@ -656,8 +660,8 @@ def counted_widths(monkeypatch):
 
 def test_a_tie_between_coordinates_steps_only_cut_copies(monkeypatch):
     """X1 - X2 from 140 and 833 under X^2 + 7X at N = 400: X2 settles at n = 0
-    and X1 at n = 1, after one full-width step; from then on only cut copies
-    of 64 digits are stepped, one step per coordinate per index."""
+    and X1 at n = 1, after one full-width step; then only a cut copy of X2,
+    64 digits, is stepped once, and lemma (B) decides every later index."""
     ctx = PadicContext(7, 400)
     P = Polynomial(ctx, [0, 7, 1])
     f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
@@ -665,7 +669,7 @@ def test_a_tie_between_coordinates_steps_only_cut_copies(monkeypatch):
                             [ctx.integer(140), ctx.integer(833)], [f])
     widths = counted_widths(monkeypatch)
     assert direct_orbit_scan(validated, 30) == []
-    assert widths == [400] + [64] * 59
+    assert widths == [400, 64]
     monkeypatch.undo()
     assert reference_direct_orbit_scan(validated, 30) == []
 
@@ -711,10 +715,11 @@ def test_cut_copies_do_not_hide_a_hit_between_coordinates():
 @pytest.mark.parametrize("v,cut", [(2**38, True), (2**39, False)])
 def test_cut_copies_follow_the_settle_rule(v, cut, monkeypatch):
     """X1 - X2 from 2^v and 3 * 2^v under X^2 + 2X at N = 100, tied at every
-    step.  At v = 2^38 both settle at n = 0 and each tie is decided from cut
-    copies.  At v = 2^39, C + D c = 101 + 2 (2^39 + 100 + 10) reaches
-    INF_BOUND, so the settle rule leaves both coordinates eager: they are
-    stepped at full width every step."""
+    step.  At v = 2^38 both settle at n = 0, where the generator is a unit,
+    and lemma (B) decides every later index: nothing is stepped.  At
+    v = 2^39, C + D c = 101 + 2 (2^39 + 100 + 10) reaches INF_BOUND, so the
+    settle rule leaves both coordinates eager: they are stepped at full
+    width every step."""
     ctx = PadicContext(2, 100)
     P = Polynomial(ctx, [0, 2, 1])
     f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
@@ -722,7 +727,7 @@ def test_cut_copies_follow_the_settle_rule(v, cut, monkeypatch):
     validated = unvalidated(ctx, [P, P], [ctx.zero()] * 2, starts, [f])
     widths = counted_widths(monkeypatch)
     assert direct_orbit_scan(validated, 10) == []
-    assert widths == [64 if cut else 100] * 20
+    assert widths == ([] if cut else [100] * 20)
     monkeypatch.undo()
     assert reference_direct_orbit_scan(validated, 10) == []
 
@@ -743,3 +748,199 @@ def test_term_test_outcomes():
     assert h.term_test([INF_BOUND // 2 - 20, INF_BOUND - 40]) is None
     assert MultivariatePoly(ctx, 2, {(0, 0): 5}).term_test([1, 1]) is UNIT
     assert MultivariatePoly(ctx, 2, {}).term_test([1, 1]) is None
+
+
+# -- the scan's lemmas (A) and (B) ----------------------------------------------
+
+
+def unit(draw, p, k):
+    """A unit below p^k, drawn."""
+    return p * draw(st.integers(0, p ** (k - 1) - 1)) + draw(st.integers(1, p - 1))
+
+
+@st.composite
+def fixed_point_hit_systems(draw):
+    """X1 at a unit fixed point c under (X - c)^2 + b1 (X - c) + c, which stays
+    eager; X2 under b1 X + X^2 at alpha = 0.  Each generator is c1 X1 + c0 with
+    c0 = -c1 z_k plus, half the time, a perturbation p^j u: a hit at k, a
+    constant whose distance to c equals z_k's (so delta = w - v(c1) at k), or
+    one farther away.  Half the time X2 - z2_k comes first."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(6, 30))
+    ctx = PadicContext(p, n)
+    c = ctx.integer(draw(st.integers(1, p - 1)) + p * draw(st.integers(0, 3)))
+    b1 = PadicNumber(ctx, draw(st.integers(1, 2)), unit(draw, p, 2), n)
+    P = Polynomial(ctx, [c * c - b1 * c + c, b1 - 2 * c, 1])
+    Q = Polynomial(ctx, [0, b1, 1])
+    x1 = c + PadicNumber(ctx, draw(st.integers(1, 3)), unit(draw, p, n), n)
+    x2 = PadicNumber(ctx, draw(st.integers(2, 3)), unit(draw, p, n), n)
+    n_max = draw(st.integers(0, 25))
+    variety = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, n_max))
+        c1 = PadicNumber(ctx, draw(st.integers(-2, 2)), unit(draw, p, n), draw(st.integers(1, n)))
+        c0 = -(c1 * orbit_point(P, x1, k))
+        if draw(st.booleans()):
+            c0 = c0 + PadicNumber(ctx, draw(st.integers(0, n + 3)), unit(draw, p, n), n)
+        if not c0.is_certified_nonzero:
+            c0 = ctx.one()
+        variety.append(MultivariatePoly(ctx, 2, {(1, 0): c1, (0, 0): c0}))
+    if draw(st.booleans()):
+        z2 = orbit_point(Q, x2, draw(st.integers(0, n_max)))
+        variety.insert(0, MultivariatePoly(ctx, 2, {(0, 1): 1, (0, 0): -z2}))
+    return unvalidated(ctx, [P, Q], [c, ctx.zero()], [x1, x2], variety), n_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_point_hit_systems())
+def test_fixed_point_hits_match_reference(case):
+    validated, n_max = case
+    assert scan_outcome(direct_orbit_scan, validated, n_max) == scan_outcome(
+        reference_direct_orbit_scan, validated, n_max)
+
+
+@st.composite
+def settled_tie_systems(draw):
+    """X1 and X2 at alpha = 0, settled from n = 0, with equal start valuations
+    and x - y of any relative valuation.  The maps are equal, or the second
+    one's coefficients differ from the first's by p^d u; coefficients may
+    carry few digits.  The generator is c X1 + c' X2 with c' = -c, or -c plus
+    p^e u, which may leave c + c' certified nonzero."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(8, 40))
+    ctx = PadicContext(p, n)
+    s = draw(st.integers(1, 2))
+
+    def number(v):
+        return PadicNumber(ctx, v, unit(draw, p, n), draw(st.sampled_from([n, n, 1, 2, 3, 5])))
+
+    first = [ctx.zero(), number(s)] + [number(draw(st.integers(0, 2)))
+                                        for _ in range(draw(st.integers(1, 2)))]
+    second = list(first)
+    if draw(st.booleans()):
+        for r in range(1, len(second)):
+            if draw(st.booleans()):
+                nudged = second[r] + PadicNumber(ctx, draw(st.integers(0, 6)), 1, n)
+                if nudged.is_certified_nonzero:
+                    second[r] = nudged
+    P, Q = Polynomial(ctx, first), Polynomial(ctx, second)
+    v0 = max(contraction_radius(first, s), contraction_radius(second, s)) + draw(st.integers(0, 2))
+    x = PadicNumber(ctx, v0, unit(draw, p, n), n)
+    y = x + PadicNumber(ctx, v0 + draw(st.integers(1, n + 2)), unit(draw, p, n), n)
+    if y.valuation != v0:
+        y = x
+    c = PadicNumber(ctx, draw(st.integers(-2, 2)), unit(draw, p, n), draw(st.sampled_from([n, 2])))
+    other = -c
+    if draw(st.booleans()):
+        other = other + PadicNumber(ctx, c.valuation + draw(st.integers(0, 4)), 1, n)
+    if not other.is_certified_nonzero:
+        other = -c
+    variety = [MultivariatePoly(ctx, 2, {(1, 0): c, (0, 1): other})]
+    n_max = draw(st.integers(0, 30))
+    return unvalidated(ctx, [P, Q], [ctx.zero()] * 2, [x, y], variety), n_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(settled_tie_systems())
+def test_settled_ties_match_reference(case):
+    validated, n_max = case
+    assert scan_outcome(direct_orbit_scan, validated, n_max) == scan_outcome(
+        reference_direct_orbit_scan, validated, n_max)
+
+
+def collapse_system(constant, c1=1):
+    """c1 X1 - constant with X1 from 4 under X^2 + X - 1, which fixes 1 with
+    multiplier 3, so v(z_n - 1) = n + 1; X2 is never read."""
+    ctx = PadicContext(3, 40)
+    maps = [Polynomial(ctx, [-1, 1, 1]), Polynomial(ctx, [-1, 1, 1])]
+    gen = MultivariatePoly(ctx, 2, {(1, 0): c1, (0, 0): -c1 * ctx.element(constant)})
+    return unvalidated(ctx, maps, [ctx.one()] * 2, [ctx.integer(4), ctx.integer(10)], [gen])
+
+
+@pytest.mark.parametrize("shift,c1,hits", [(0, 1, [3]), (0, 5, [3]), (3**10, 1, []),
+                                           (3**2, 1, [])])
+def test_a_hit_at_a_unit_fixed_point_is_evaluated_once(shift, c1, hits, monkeypatch):
+    """c1 X1 - c1 (z_3 + shift): e = c1 (1 - z_3 - shift) has valuation w = 4
+    unless the shift is 3^2.  Lemma (A) decides every index but the one where
+    v(z_n - 1) + v(c1) = w, n = 3, where the generator is evaluated once: it
+    vanishes there when the shift is 0 and is a unit of valuation 10 when it is
+    3^10.  With the shift 3^2, w = 2 and n = 1 is evaluated instead."""
+    P = collapse_system(0).spec.maps[0]
+    validated = collapse_system(orbit_point(P, P.ctx.integer(4), 3) + shift, c1)
+    counts = counted_runs(monkeypatch, validated.spec.maps)
+    assert direct_orbit_scan(validated, 30) == hits
+    assert counts() == ([30, 30], 1)
+    monkeypatch.undo()
+    assert reference_direct_orbit_scan(validated, 30) == hits
+
+
+def test_a_constant_of_few_digits_is_evaluated_every_step(monkeypatch):
+    """X1 (1 + O(3^5)) - 1: e = O(3^5) is no unit, so lemma (A) does not apply,
+    and the generator vanishes to precision from n = 4 on."""
+    ctx = PadicContext(3, 20)
+    P = Polynomial(ctx, [-1, 1, 1])
+    gen = MultivariatePoly(ctx, 2, {(1, 0): PadicNumber(ctx, 0, 1, 5), (0, 0): -1})
+    validated = unvalidated(ctx, [P, P], [ctx.one()] * 2, [ctx.integer(4), ctx.integer(10)],
+                            [gen])
+    counts = counted_runs(monkeypatch, [P])
+    assert direct_orbit_scan(validated, 12) == list(range(4, 13))
+    assert counts()[1] == 13
+    monkeypatch.undo()
+    assert reference_direct_orbit_scan(validated, 12) == list(range(4, 13))
+
+
+@pytest.mark.parametrize("short", ["b1", "b2"])
+def test_a_tie_is_not_settled_while_digits_may_run_short(short, monkeypatch):
+    """X1 - X2 from 9 and 9 + 3^6 under 3X + X^2, with b1 = 3 + O(3^4) or
+    b2 = 1 + O(3^2): t = 4 at n = 0, and k(b1) = 3 or A(2) - s = 3 is no
+    more, so lambda_1 = 4 or lambda_2 = 2 (b - b is zero to its absolute
+    precision) fails its bound.  So lemma (B) does not apply, and from n = 1
+    on the difference is lost below the next values' digits: the generator
+    vanishes to precision.  It is
+    evaluated at n = 0, at the copies and the full values at n = 1, and once
+    at each later index."""
+    ctx = PadicContext(3, 40)
+    b1 = PadicNumber(ctx, 1, 1, 3) if short == "b1" else 3
+    b2 = PadicNumber(ctx, 0, 1, 2) if short == "b2" else 1
+    P = Polynomial(ctx, [0, b1, b2])
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    validated = unvalidated(ctx, [P, P], [ctx.zero()] * 2,
+                            [ctx.integer(9), ctx.integer(9 + 3**6)], [f])
+    counts = counted_runs(monkeypatch, [P])
+    assert direct_orbit_scan(validated, 10) == list(range(1, 11))
+    assert counts()[1] == 12
+    monkeypatch.undo()
+    assert reference_direct_orbit_scan(validated, 10) == list(range(1, 11))
+
+
+def test_a_tie_is_not_settled_between_maps_that_differ_in_b1(monkeypatch):
+    """X1 - X2 from 9 under 3X + X^2 and 36 under -33X + X^2: t = 1 at n = 0 and
+    lambda_1 = v(3 + 33) = 2 = t + s, so lemma (B) does not apply; both orbits
+    reach 108 at n = 1, a hit.  The generator is evaluated at n = 0, at the
+    copies and the full values at n = 1, and once at each later index, where
+    lambda_1 = t + s again."""
+    ctx = PadicContext(3, 40)
+    P, Q = Polynomial(ctx, [0, 3, 1]), Polynomial(ctx, [0, -33, 1])
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    validated = unvalidated(ctx, [P, Q], [ctx.zero()] * 2, [ctx.integer(9), ctx.integer(36)], [f])
+    counts = counted_runs(monkeypatch, [P, Q])
+    assert direct_orbit_scan(validated, 10) == [1]
+    assert counts()[1] == 12
+    monkeypatch.undo()
+    assert reference_direct_orbit_scan(validated, 10) == [1]
+
+
+def test_a_tie_is_not_settled_where_a_later_term_reaches_inf_bound():
+    """c (X1 - X2) with v(c) = 10 * 2^36, from 2^(2^38) and 3 * 2^(2^38) under
+    2^(2^36) X + X^2 at p = 2: the generator is a unit at n = 0, but at n = 2
+    its terms reach INF_BOUND = 2^40 and it reads as an exact zero, as in the
+    reference.  Lemma (B) must not engage before that."""
+    ctx = PadicContext(2, 20)
+    s, v = 2**36, 2**38
+    P = Polynomial(ctx, [0, PadicNumber(ctx, s, 1, 20), 1])
+    c = PadicNumber(ctx, 10 * s, 1, 20)
+    f = MultivariatePoly(ctx, 2, {(1, 0): c, (0, 1): -c})
+    starts = [PadicNumber(ctx, v, 1, 20), PadicNumber(ctx, v, 3, 20)]
+    validated = unvalidated(ctx, [P, P], [ctx.zero()] * 2, starts, [f])
+    assert scan_outcome(direct_orbit_scan, validated, 3) == scan_outcome(
+        reference_direct_orbit_scan, validated, 3) == ("hits", [2, 3])
