@@ -272,7 +272,8 @@ def _validate_at(spec: SystemSpec, digits: int, full: dict | None = None) -> Val
         lin = distinct.get(key)
         if lin is None:
             try:
-                lin = distinct[key] = _linearize_checked(P, alpha, spec.truncation, digits, full, key)
+                lin = distinct[key] = _linearize_checked(
+                    P, alpha, spec.truncation, digits, full, key)
             except (ValidationError, PrecisionError) as exc:
                 raise ValidationError(f"coordinate {i + 1}: {exc}") from exc
         lins.append(lin)
@@ -577,11 +578,12 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     has valuation v(c1) + delta; the second lies in e's set, so it has
     valuation w.  So the sum has valuation min(v(c1) + delta, w), and no value
     ``eval_triples`` forms reaches INF_BOUND: f at z_n is a unit.  The test
-    reads delta without stripping the collapse test's residue s, taken
-    modulo p^k: delta = w - v(c1) exactly when p^h divides s and p^(h+1)
-    does not, h = w - v(c1) - v(z_n) < k, two reductions from the power
-    cache (the one sum's k is at most alpha_i's, and ``tr_add`` reads p^k
-    from the same cache).
+    reads delta without stripping: the collapse test keeps z_n - alpha_i as
+    p^v (s + O(p^k)), s not stripped in the one sum (v = v(z_n) there), so
+    delta = w - v(c1) exactly when p^h divides s and p^(h+1) does not,
+    h = w - v(c1) - v < k: two reductions from the power cache, which holds
+    p^k (the one sum's k is at most alpha_i's, and ``tr_add`` reads p^k from
+    the same cache).
 
     (B) A pair of settled orbits.  Let f = c_i X_i + c_j X_j, i != j, with
     c_i + c_j zero to precision, bounded at B, and let the lemma have settled
@@ -598,34 +600,39 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
         or bound of b_{i,r} - b_{j,r} (an exact zero imposes nothing).
     Write abs(b) for the absolute precision of b (v + k, or the bound of a
     zero).  A sum's is the lesser of its operands' (here below INF_BOUND, by
-    the settle rule), and its valuation or bound is at most that, so lambda_r <= abs(b_{q,r}) for q = i, j whenever
-    b_{q,r} is not an exact zero: the second condition also gives t <
-    k(b_{q,1}) and t < A_q(V) - s, A_q(V) the least abs(b_r) + (r - 1) V over
-    the coefficients b_r (r >= 2) of P_q that are not exact zeros.
-    Proof.  Let X_m, Y_m be the sets of z_{i,m} and z_{j,m}, V_m = V + (m - n) s,
-    and claim that v(x - y) = V_m + t for all x in X_m and y in Y_m.  At n:
-    the sets at which f was found a unit contain X_n and Y_n, and
-    c_i' (x - y) = (c_i' x + c_j' y) - (c_i' + c_j') y, where the first term
-    has valuation w and the second at least B + V.  B + V > w, because B is
-    the lesser of abs(c_i) and abs(c_j) (``tr_add`` cancels to it) and f's
-    value keeps at most the lesser absolute precision of its terms, at most
-    B + V.  So v(x - y) = V + t.  Then k(z_{q,n}) > t: the ball X_n, of
-    radius V + k(z_{i,n}), would otherwise hold two points whose differences
-    from y cancel below V + t.  Step 1: a settled z of valuation W keeps
+    the settle rule), and its valuation or bound is at most that, so
+    lambda_r <= abs(b_{q,r}) for q = i, j whenever b_{q,r} is not an exact
+    zero: the second condition also gives t < k(b_{q,1}) and
+    t < A_q(V) - s, A_q(V) the least abs(b_r) + (r - 1) V over the
+    coefficients b_r (r >= 2) of P_q that are not exact zeros.
+    Proof.  Let X_m, Y_m be the sets of z_{i,m} and z_{j,m}, and
+    V_m = V + (m - n) s; claim that v(x - y) = V_m + t for all x in X_m and
+    y in Y_m.  At n: the sets at which f was found a unit contain X_n and
+    Y_n, and c_i' (x - y) = (c_i' x + c_j' y) - (c_i' + c_j') y, where the
+    first term has valuation w and the second at least B + V.  B + V > w,
+    because B is the lesser of abs(c_i) and abs(c_j) (``tr_add`` cancels to
+    it) and f's value keeps at most the lesser absolute precision of its
+    terms, at most B + V.  So v(x - y) = V + t.  Then k(z_{q,n}) > t:
+    otherwise the ball X_n around x, of radius V + k(z_{i,n}) <= V + t,
+    would hold y, and x - y could be 0 (likewise for Y_n).
+    Step 1: a settled z of valuation W keeps
     k(P(z)) >= min(k(z), k(b1), A(W) - s).  In ``horner`` a product acc * z
     has absolute precision at least min(abs(acc) + W, v(acc) + W + k(z)).
     Above b1, every partial sum times the powers of z still to come has
-    valuation above s (the contraction radius), so the partial sum above b1,
-    times z, has absolute precision at least min(A(W), s + k(z) + 1); adding
-    b1, a unit of valuation s, and multiplying by z gives the bound.  A(W)
-    grows with W, so k(z_{q,m}) >= min(k(z_{q,n}), k(b_{q,1}), A_q(V) - s) > t
-    at every m >= n.  Step 2: for coefficient values from the sets,
-    P_i(x) - P_j(y) = (x - y)(b1 + b2 (x + y) + ...) + sum of
-    (b_{i,r} - b_{j,r}) y^r.  Above b1 the bracket's terms have valuation
-    above s, so the product has valuation V_m + t + s; each other term has at
-    least lambda_r + r V_m > V_m + t + s, as lambda_r + (r - 1) V_m grows
-    with m.  Step 3: X_{m+1} contains every such P_i(x) and is a ball of
-    radius V_{m+1} + k > V_{m+1} + t, and so is Y_{m+1}, so the claim holds at
+    valuation above s (the contraction radius), so the partial sum above
+    b1, times z, has absolute precision at least min(A(W), s + k(z) + 1);
+    adding b1, a unit of valuation s, and multiplying by z gives the bound.
+    A(W) grows with W, so
+    k(z_{q,m}) >= min(k(z_{q,n}), k(b_{q,1}), A_q(V) - s) > t at every
+    m >= n.
+    Step 2: for coefficient values from the sets,
+    P_i(x) - P_j(y) = (x - y)(b_{i,1} + b_{i,2} (x + y) + ...)
+    + sum of (b_{i,r} - b_{j,r}) y^r.  Above b_{i,1} the bracket's terms
+    have valuation above s, so the product has valuation V_m + t + s; each
+    other term has at least lambda_r + r V_m > V_m + t + s, as
+    lambda_r + (r - 1) V_m grows with m.
+    Step 3: X_{m+1} contains every such P_i(x) and is a ball of radius
+    V_{m+1} + k > V_{m+1} + t, and so is Y_{m+1}, so the claim holds at
     m + 1.  Then each value of f at m, c_i' (x - y) + (c_i' + c_j') y, has
     valuation v(c_i) + V_m + t = w + (m - n) s < B + V_m: f is a unit.
     """
