@@ -672,7 +672,8 @@ def direct_orbit_scan(validated: ValidatedSystem, n_max: int | None = None) -> l
     slopes = [None] * len(cur)
     vals = [0] * len(cur)  # the read coordinates' valuations at n, for the term test
     low = [(-1, None)] * len(cur)  # low[i]: (j, the cut copy of coordinate i at index j)
-    # diffs[i]: (v, s, k) with z_n - alpha = p^v (s + O(p^k)) for eager i, s not stripped
+    # diffs[i]: (v, s, k) with z_n - alpha = p^v (s + O(p^k)) for eager i; the
+    # one sum leaves s unstripped
     diffs = [None] * len(cur)
     vanished = [False] * len(variety)  # whether generator g vanished when last evaluated
     # the data of lemmas (A) and (B) for generator g, built when first needed:
