@@ -10,9 +10,18 @@ A coefficient is a triple ``(v, u, k)`` over a fixed prime ``p``:
   precision ``v``"); ``k`` is 0.  Bounds at or above ``INF_BOUND`` mean an
   exact zero.
 
-Precision propagation is pessimistic: a result never claims more digits than
-its operands guarantee, and additive cancellation converts a would-be unit into
-a zero triple carrying the surviving absolute-precision bound.
+A triple stands for a set of values: a unit for ``p**v * (u + p**k Z_p)``, a
+zero bounded at ``m`` for ``p**m Z_p``, an exact zero for ``{0}``; a unit cut
+to fewer digits stands for a superset.  ``tr_mul``, ``tr_neg``, ``tr_add`` and
+``tr_div`` by a unit return exactly the set of the products, negations, sums
+or quotients of their operands' values, and so claim no digit they do not know:
+a product of units keeps the lesser ``k``, and a sum keeps the digits below the
+lesser absolute precision, and is the zero bounded there when they cancel.  So
+larger operand sets give a larger result set, through any chain of these calls,
+``horner`` and the closed-form sums included.  The one exception: a result
+bounded at or past ``INF_BOUND`` becomes an exact zero, whose set ``{0}`` is
+smaller.  Every proof that reads triples as sets (``checker``, ``linearize``,
+``scan``) cites this.
 
 A sum of products (a convolution coefficient) has a closed form: its absolute
 precision ``A`` is the least absolute precision of its terms, and its value is
@@ -52,23 +61,13 @@ exact zero (each returns its operand).
 
 Callers look the public functions up as ``_core.<name>`` at call time, so a
 wrapper installed on this module (``checkbench/tracing.py``) sees every call
-from outside the kernel.  It sees none of the kernel's own inner calls because
-no public function calls another: ``series_mul``, ``conv_at`` and ``dot`` call
-the private ``_conv``, and ``horner`` calls ``tr_mul`` and ``tr_add`` by their
-private names ``_mul`` and ``_add``.  So the traced ``tr_*`` counters no longer
-see polynomial or series evaluation: an orbit step of the direct scan is
-counted nowhere, and its time is the scan's self time.  The ``tr_*`` functions
-are called directly by the ``PadicNumber`` operators (``padic``, with
-``triple_pow`` for powers), the series code, the Koenigs divisors
-(``linearize``), ``MultivariatePoly.eval_triples`` (``multipoly``) and the
-collapse test of ``checker.direct_orbit_scan``; ``Polynomial.eval_triple``
-(``dynamics``) and ``TruncatedSeries.evaluate`` (``series``) call ``horner``.
-The generator evaluation and the collapse test skip the same calls that
-``horner`` skips, so the traced counts hold only the calls that do work.  The
-collapse test also decides a unit z against a unit alpha of the same
-valuation without ``tr_add``: it reads only whether z - alpha vanishes, which
-is ``tr_add``'s zero test, one sum modulo ``p**min(k_z, k_alpha)`` from the
-power cache, and skips the strip of a nonzero difference.
+from outside the kernel and none of its inner calls: no public function calls
+another (``series_mul``, ``conv_at`` and ``dot`` call the private ``_conv``,
+and ``horner`` calls ``tr_mul`` and ``tr_add`` by the private names ``_mul``
+and ``_add``).  So the traced ``tr_*`` counters see no polynomial or series
+evaluation: an orbit step of ``scan.direct_orbit_scan`` is counted nowhere.
+The generator evaluation (``multipoly``) and the scan's collapse test skip the
+calls that ``horner`` skips, so the traced counts hold only calls that do work.
 """
 
 BACKEND = "pure"

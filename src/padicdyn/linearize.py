@@ -21,14 +21,9 @@ taken as exactly zero, [X^n] G^m = [X^(n-m)] H^m, and the exact zeros of G^m
 below degree m are never formed.
 
 ``linearize`` is ``_linearize_cut`` at the working precision N, where nothing
-is cut: it computes E and L from every digit of G, and it is the reference,
-the fallback and the path of ``padicdyn linearize``.  On the check path,
-``checker.validate`` builds them with ``_linearize_cut`` from G with every
-coefficient cut to 4T digits when 16T <= N (the report reads about 2T of
-them); the multiplier, G, rho and G's part of the isometry radius stay at
-full precision.  ``validate`` alone decides, by check (a) per map and one
-check on the logs, whether the cut series stand or the system is validated
-again with ``linearize``.
+is cut: the reference, the fallback and the path of ``padicdyn linearize``.
+On the check path ``checker.validate`` may build E and L from G cut to 4T
+digits (``_linearize_cut``), and it alone decides whether those stand.
 """
 
 from __future__ import annotations
@@ -259,9 +254,14 @@ class Linearization:
 
     def log_of(self, z: PadicNumber) -> PadicNumber:
         """L(z - alpha); requires z in the isometry ball."""
-        if not self.isometry_ball.contains(z):
+        return self._log_at(z - self.fixed_point)
+
+    def _log_at(self, d: PadicNumber) -> PadicNumber:
+        """``log_of`` at the difference d = z - alpha, formed once: the ball
+        test reads it too."""
+        if not self.isometry_ball._holds(d):
             raise ValidationError("argument outside the isometry ball")
-        return self.log_series.evaluate(z - self.fixed_point)
+        return self.log_series.evaluate(d)
 
     def __repr__(self):
         return (
@@ -300,9 +300,8 @@ def _cut(G: Polynomial, digits: int) -> Polynomial:
     """G with every unit coefficient cut to its first ``digits`` digits.
 
     A coefficient of at most ``digits`` digits, and a zero, is kept as it is.
-    A triple stands for a set of values (the ``direct_orbit_scan`` docstring),
-    and a cut unit for a superset of the full one's, so the cut G contains G
-    coefficient by coefficient.
+    A cut unit stands for a superset of the full one's set (``_core``), so
+    the cut G contains G coefficient by coefficient.
     """
     pd = G.ctx.prime**digits
     return Polynomial(G.ctx, [
@@ -320,10 +319,8 @@ def _linearize_cut(P: Polynomial, alpha: PadicNumber, order: int, digits: int) -
     The multiplier, G, rho and G's part of the isometry radius are computed
     at full precision.  Every refusal is ``linearize``'s: the cut keeps every
     valuation and every zero, and the refusals read nothing else.  Every
-    value the recursions form stands over the full one (the
-    ``direct_orbit_scan`` docstring: larger operand sets give larger result
-    sets), which is what ``checker.validate`` reads when it checks a cut
-    linearization.
+    value the recursions form stands over the full one (``_core``), which is
+    what ``checker.validate`` reads when it checks a cut linearization.
     """
     if order < 1:  # the isometry radius divides by the order
         raise ValidationError(f"truncation order must be >= 1, got {order}")

@@ -141,7 +141,7 @@ class MultivariatePoly:
         a settled coordinate's valuation grows while the constant's does not,
         so the tie holds at one index, where a hit X_i - z_k lies, and
         evaluating there costs only the catch-up the hit needs anyway.  (The
-        proofs that use these outcomes are in ``checker.direct_orbit_scan``.)
+        proofs that use these outcomes are in ``scan.direct_orbit_scan``.)
         """
         n = self.ctx.working_precision
         least = None

@@ -330,7 +330,10 @@ class Ball(namedtuple("Ball", "center radius_valuation")):
 
     def contains(self, z: PadicNumber) -> bool:
         """Exact membership; raises if precision cannot decide."""
-        d = z - self.center
+        return self._holds(z - self.center)
+
+    def _holds(self, d: PadicNumber) -> bool:
+        """``contains`` read from the difference d = z - center."""
         if d.is_certified_nonzero:
             return d.valuation >= self.radius_valuation
         if d.zero_bound >= self.radius_valuation:

@@ -1,7 +1,10 @@
 """The intersection analysis: validation, scanning, lambdas, F-series, verdicts."""
 
+import ast
 import copy
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,7 @@ from padicdyn import (
     linearize,
     validate,
 )
-from padicdyn import checker
+from padicdyn import checker, scan
 from padicdyn.padic import INF_BOUND
 
 
@@ -150,6 +153,54 @@ def test_validate_names_the_generator_coefficient_out_of_range(coefficient, mess
         analyze(spec)
 
 
+OTHER = PadicContext(3, 64)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda c: {"start": [3, c.integer(9)]}, "start[1] is not a PadicNumber: got int"),
+    (lambda c: {"fixed_points": [c.zero(), 0]}, "fixed_points[2] is not a PadicNumber: got int"),
+    (lambda c: {"start": [c.integer(3), OTHER.integer(9)]},
+     "start[2] is over p = 3, N = 64, not the problem's p = 3, N = 32"),
+    (lambda c: {"fixed_points": [c.zero(), PadicContext(5, 32).zero()]},
+     "fixed_points[2] is over p = 5, N = 32, not the problem's p = 3, N = 32"),
+    (lambda c: {"maps": [Polynomial(c, [0, 3, 1]), Polynomial(OTHER, [0, 3, 1])]},
+     "maps[2] is over p = 3, N = 64, not the problem's p = 3, N = 32"),
+    (lambda c: {"variety": [diag_generator(OTHER)]},
+     "variety[1] is over p = 3, N = 64, not the problem's p = 3, N = 32"),
+], ids=["start-int", "fixed-point-int", "start-other-context", "fixed-point-other-context",
+        "map-other-context", "generator-other-context"])
+def test_validate_refuses_foreign_inputs(make, message):
+    """A value that is no PadicNumber, and a value, map or generator over
+    another context, is refused with the field named.  Unchecked, an int
+    ends in an AttributeError, a start or fixed point of another context in
+    a ValueError of the arithmetic, and a generator of another context
+    passes the whole scan and then raises a ValueError in ``build_F``."""
+    c = PadicContext(3, 32)
+    P = Polynomial(c, [0, 3, 1])
+    args = {"maps": [P, P], "fixed_points": [c.zero(), c.zero()],
+            "start": [c.integer(3), c.integer(9)], "variety": [diag_generator(c)]}
+    args.update(make(c))
+    spec = SystemSpec(c, args["maps"], args["fixed_points"], args["start"], args["variety"], 8, 40)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate(spec)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        analyze(spec)
+
+
+def test_validate_refuses_a_fixed_point_read_problem_left_out():
+    """``read_problem`` leaves each omitted fixed point None, and ``analyze``
+    of its spec refuses the first one by name instead of ending in an
+    AttributeError; ``load_problem`` discovers them."""
+    from padicdyn.problemfile import read_problem
+
+    from test_cli import DIAG
+
+    doc = json.dumps({key: value for key, value in DIAG.items() if key != "fixed_points"})
+    with pytest.raises(ValidationError, match=re.escape(
+            "fixed_points[1] is not a PadicNumber: got None; load_problem discovers it")):
+        analyze(read_problem(doc))
+
+
 class TestSharedLinearizations:
     def test_equal_maps_share_one_linearization(self, ctx):
         P1 = Polynomial(ctx, [0, 3, 1])
@@ -221,6 +272,25 @@ class TestDirectScan:
         gen = MultivariatePoly(ctx, 2, {(1, 0): ctx.one(), (0, 0): -c})
         spec = make_spec(ctx, P, [x1, ctx.integer(9)], [gen], n_max=25)
         assert direct_orbit_scan(validate(spec)) == [3]
+
+    def test_the_oracle_imports_nothing_of_the_f_side(self):
+        """``scan.py``'s own imports, wherever they stand, name none of the
+        modules the pullback F is built from."""
+        tree = ast.parse(Path(scan.__file__).read_text())
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                named.update(part for alias in node.names for part in alias.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                named.update((node.module or "").split("."))
+                named.update(alias.name for alias in node.names)
+        assert "_core" in named  # the walk sees the module's imports
+        assert not named & {"linearize", "series", "checker"}
+
+    def test_analyze_calls_the_scan_through_the_checker_name(self):
+        """``checker`` binds the scan module's function, and ``analyze`` looks
+        it up there at call time, where the benchmark's span wraps it."""
+        assert checker.direct_orbit_scan is scan.direct_orbit_scan is direct_orbit_scan
 
 
 class TestLambdas:

@@ -33,11 +33,13 @@ from padicdyn import (
     direct_orbit_scan,
     validate,
 )
+from padicdyn import scan
 from padicdyn.checker import ValidatedSystem
 from padicdyn.dynamics import contraction_radius
 from padicdyn.multipoly import TIE, UNIT
 from padicdyn.padic import INF_BOUND
 from padicdyn.problemfile import load_problem
+from padicdyn.scan import _fixed_point_hit
 
 from corpus import build_corpus
 
@@ -944,3 +946,82 @@ def test_a_tie_is_not_settled_where_a_later_term_reaches_inf_bound():
     validated = unvalidated(ctx, [P, P], [ctx.zero()] * 2, starts, [f])
     assert scan_outcome(direct_orbit_scan, validated, 3) == scan_outcome(
         reference_direct_orbit_scan, validated, 3) == ("hits", [2, 3])
+
+
+# -- the INF_BOUND guards of lemma (A) and the pair tests of lemma (B) ----------
+#
+# A problem document cannot reach INF_BOUND: ``validate`` refuses a value whose
+# valuation exceeds VALUATION_BOUND = 2^30, and an orbit gains at most about
+# 14,300 (the valuation of a rational the parser reads) a step.  So these
+# systems are built by hand, as the scan reads them.
+
+
+def test_a_constant_past_inf_bound_keeps_its_precision_error():
+    """X1 + c0 with c0 a unit of valuation INF_BOUND, X1 from 4 at the unit
+    fixed point 1: e = 1 + c0 is a unit of valuation 0, and v(z_n - 1) > 0 at
+    every index, so lemma (A) would decide every index.  Evaluating reads c0
+    as a term that cannot be told from an exact zero and raises; (A) takes no
+    data from a constant past INF_BOUND, so the scan raises as evaluating at
+    every step does."""
+    ctx = PadicContext(3, 40)
+    P = Polynomial(ctx, [-1, 1, 1])
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 0): PadicNumber(ctx, INF_BOUND, 1, 40)})
+    validated = unvalidated(ctx, [P, P], [ctx.one()] * 2, [ctx.integer(4), ctx.integer(10)], [f])
+    with pytest.raises(PrecisionError, match="a generator term has valuation 1099511627776"):
+        direct_orbit_scan(validated, 10)
+
+
+def test_fixed_point_hit_takes_no_data_at_or_past_inf_bound():
+    """Lemma (A)'s data is formed only from c1 alpha_i and c0 below INF_BOUND.
+    At an exact-zero fixed point (A) decides nothing the term test does not:
+    with alpha = 0 the collapse test's difference is z itself, a unit, and
+    the only index the term test leaves to (A) is a tie of c1 X_i with the
+    constant, where v(c1) + delta = w.  So no data is formed there."""
+    ctx = PadicContext(3, 40)
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 0): -5})
+    assert _fixed_point_hit(f, [ctx.one(), ctx.one()]) == (0, 0, 0)  # e = -4
+    assert _fixed_point_hit(f, [ctx.zero(), ctx.one()]) is False
+    assert _fixed_point_hit(f, [PadicNumber(ctx, INF_BOUND - 20, 1, 30), ctx.one()]) is False
+    past = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 0): PadicNumber(ctx, INF_BOUND - 20, 1, 30)})
+    assert _fixed_point_hit(past, [ctx.one(), ctx.one()]) is False
+
+
+def test_a_tie_is_not_settled_with_a_partner_the_lemma_left_eager():
+    """X1 - X2 from 9 and 9 + 3^6 under 3X + X^2, X2's map with the constant
+    O(3^12) instead of an exact zero: X1 settles at n = 0 and X2 stays eager,
+    its values cut to absolute precision 12 at every step.  The generator is
+    a unit at n = 0 with t = 4, and every coefficient difference is zero to
+    its precision, but X2 has no slope: lemma (B) must not apply.  From n = 6
+    the difference, of valuation n + 6, is lost below X2's precision, so
+    indices 6 to 9 are hits, and at n = 10 X2 collapses."""
+    ctx = PadicContext(3, 40)
+    P = Polynomial(ctx, [0, 3, 1])
+    Q = Polynomial(ctx, [PadicNumber(ctx, 12, 0, 0), 3, 1])
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    validated = unvalidated(ctx, [P, Q], [ctx.zero()] * 2,
+                            [ctx.integer(9), ctx.integer(9 + 3**6)], [f])
+    assert direct_orbit_scan(validated, 9) == [6, 7, 8, 9]
+    assert reference_direct_orbit_scan(validated, 9) == [6, 7, 8, 9]
+    collapsed = scan_outcome(direct_orbit_scan, validated, 12)
+    assert collapsed[:2] == ("collapsed", 10)
+    assert collapsed == scan_outcome(reference_direct_orbit_scan, validated, 12)
+
+
+def test_a_generator_that_never_ties_builds_no_tie_data(monkeypatch):
+    """X1 - X2 with X1 starting at its fixed point 0, so settled there and
+    never given a valuation, and X2 from 9 under 3X + X^2: the term test is
+    never reached, and the generator is evaluated, a unit, at every index.
+    Lemma (B)'s data, whose differences are kernel calls, is built only at a
+    unit found at a TIE, so never here."""
+    ctx = PadicContext(3, 40)
+    P = Polynomial(ctx, [0, 3, 1])
+    f = MultivariatePoly(ctx, 2, {(1, 0): 1, (0, 1): -1})
+    validated = unvalidated(ctx, [P, P], [ctx.zero()] * 2, [ctx.zero(), ctx.integer(9)], [f])
+    built = []
+    tie_pair = scan._tie_pair
+    monkeypatch.setattr(scan, "_tie_pair", lambda *args: built.append(args) or tie_pair(*args))
+    counts = counted_runs(monkeypatch, [P])
+    assert direct_orbit_scan(validated, 10) == []
+    assert built == [] and counts()[1] == 11
+    monkeypatch.undo()
+    assert reference_direct_orbit_scan(validated, 10) == []
